@@ -46,26 +46,14 @@ hit rate -- a warm boot answers its very first requests from the snapshot's
 plan cache, with kernel sequences asserted identical to the cold solves
 (``--check-plan-hit-rate`` gates this in CI).
 
-A fifth section benchmarks **intra-solve parallelism**
-(:mod:`repro.core.parallel`): cold solves of long chains (>= 20 factors,
-pruning enabled) under the serial reference tier vs the parallel tier
-(``parallelism="threads:2"``), interleaved and min-of-N per chain to
-suppress scheduler noise.  The parallel tier must be *bit-identical* --
-optimal cost, kernel sequence and parenthesization are asserted equal per
-solve -- and the recorded speedup is the tier's cold-solve win
-(bound-ordered split evaluation + signature-keyed decision memoization +
-thread dispatch).  ``--check-parallel-identity`` turns the identity
-assertion into a hard CI gate; ``--check-parallel-speedup X`` gates the
-aggregate speedup.
-
-A sixth section gates **trace overhead** (:mod:`repro.obs`): warm repeated
+A fifth section gates **trace overhead** (:mod:`repro.obs`): warm repeated
 solves on a never-traced solver vs the same untraced path on a solver that
 ran one traced solve first (any instrumentation the traced fill failed to
 clean up would slow every later cell), plus the informational traced-on
 cost.  ``--check-trace-overhead X`` (CI uses 0.03) fails the run when the
 untraced hot path is not measurably free.
 
-A seventh section gates **workload-analytics overhead**
+A sixth section gates **workload-analytics overhead**
 (:mod:`repro.obs.analytics`): warm serve requests through one shared
 session, alternating per request between analytics recording (the
 always-on default) and ``analytics_disabled()``, reporting the median of
@@ -280,123 +268,6 @@ def run_match_cache(lengths, chains_per_length, seed, repeats=1):
     }
 
 
-def make_palette_chain(rng, length, palette=(40, 60, 80, 100, 120)):
-    """A conformable chain over a small dimension palette.
-
-    Application chains share dimensions across operands (the paper's test
-    set draws from a handful of problem sizes), so signature-keyed layers
-    see realistic repeat rates; occasional square-matrix properties and
-    transposes keep the kernel choice non-trivial.
-    """
-    from repro.algebra import Matrix, Property
-
-    square_props = (Property.LOWER_TRIANGULAR, Property.DIAGONAL, Property.SYMMETRIC)
-    dims = [rng.choice(palette) for _ in range(length + 1)]
-    factors = []
-    for index in range(length):
-        properties = set()
-        if dims[index] == dims[index + 1] and rng.random() < 0.3:
-            properties = {rng.choice(square_props)}
-        factor = Matrix(f"M{index}", dims[index], dims[index + 1], properties)
-        if factor.rows == factor.columns and rng.random() < 0.2:
-            factor = factor.T
-        factors.append(factor)
-    return factors
-
-
-def run_parallel(chain_lengths, seed, repeats=5, policy="threads:2"):
-    """Benchmark the parallel tier against the serial reference, cold.
-
-    Every repeat of every (chain, tier) pair starts genuinely cold --
-    interner, inference memo, match cache and kernel-cost memo all empty --
-    and the two tiers are interleaved within each repeat so drift hits both
-    equally; the per-chain minimum over *repeats* is kept.  Identity is
-    asserted on every single solve, not just the timed winner.
-    """
-    import random as random_module
-
-    rng = random_module.Random(seed)
-    chains = [make_palette_chain(rng, length) for length in chain_lengths]
-    catalog = KernelCatalog(build_default_kernels(), name="bench-parallel")
-    mismatches = []
-
-    def cold_solve(chain, parallelism):
-        clear_inference_cache()
-        clear_intern_table()
-        catalog.match_cache.clear()
-        options = CompileOptions(
-            catalog=catalog, metric=FlopCount(), prune=True, parallelism=parallelism
-        )
-        algorithm = GMCAlgorithm(options)
-        start = time.perf_counter()
-        solution = algorithm.solve(list(chain))
-        return time.perf_counter() - start, solution
-
-    serial_best = [math.inf] * len(chains)
-    parallel_best = [math.inf] * len(chains)
-    for _ in range(repeats):
-        for index, chain in enumerate(chains):
-            serial_s, serial_solution = cold_solve(chain, "serial")
-            parallel_s, parallel_solution = cold_solve(chain, policy)
-            serial_best[index] = min(serial_best[index], serial_s)
-            parallel_best[index] = min(parallel_best[index], parallel_s)
-            if _solutions_differ(serial_solution, parallel_solution) or (
-                serial_solution.computable
-                and serial_solution.kernel_sequence()
-                != parallel_solution.kernel_sequence()
-            ):
-                mismatches.append(f"length {len(chain)} (chain #{index})")
-
-    per_chain = []
-    for index, chain in enumerate(chains):
-        entry = {
-            "length": len(chain),
-            "serial_cold_s": serial_best[index],
-            "parallel_cold_s": parallel_best[index],
-            "speedup": (
-                serial_best[index] / parallel_best[index]
-                if parallel_best[index] > 0
-                else math.inf
-            ),
-        }
-        per_chain.append(entry)
-        print(
-            f"chain {len(chain):2d}: serial {serial_best[index] * 1e3:8.2f} ms, "
-            f"parallel {parallel_best[index] * 1e3:8.2f} ms, "
-            f"speedup {entry['speedup']:5.2f}x"
-        )
-
-    serial_total = sum(serial_best)
-    parallel_total = sum(parallel_best)
-    entry = {
-        "description": (
-            "intra-solve parallelism: cold long-chain solves (pruning on) "
-            "under the serial reference tier vs the parallel tier "
-            "(anti-diagonal work queues, shared pruning bound, "
-            "signature-keyed decision memo); optimal cost, kernel sequence "
-            "and parenthesization asserted identical on every solve"
-        ),
-        "policy": policy,
-        "repeats": repeats,
-        "per_chain": per_chain,
-        "overall": {
-            "serial_cold_total_s": serial_total,
-            "parallel_cold_total_s": parallel_total,
-            "speedup": (
-                serial_total / parallel_total if parallel_total > 0 else math.inf
-            ),
-        },
-        "solutions_match": not mismatches,
-        "mismatches": mismatches,
-    }
-    print(
-        f"parallel tier ({policy}): serial {serial_total * 1e3:8.2f} ms, "
-        f"parallel {parallel_total * 1e3:8.2f} ms, "
-        f"speedup {entry['overall']['speedup']:5.2f}x"
-    )
-    return entry
-
-
 def run_trace_overhead(lengths, seed, repeats=11, solves_per_sample=20):
     """Gate: the untraced hot path stays measurably free of tracing cost.
 
@@ -407,17 +278,17 @@ def run_trace_overhead(lengths, seed, repeats=11, solves_per_sample=20):
 
     * **baseline** -- tracing disabled, the solver never traced;
     * **post-traced** -- tracing disabled *now*, but the solver ran one
-      traced solve first.  The traced serial fill installs per-cell
-      instance-attribute timing wrappers and must remove them in its
-      ``try/finally``; if that cleanup ever leaks, this arm pays the
-      wrapper cost on every subsequent cell and the gate trips;
+      traced solve first.  A traced fill wraps the loop's per-split
+      decision and per-cell commit in timers for that solve only; if they
+      ever outlived it, this arm would pay the wrapper cost on every
+      subsequent cell and the gate trips;
     * **traced on** -- a live tracer (reported, not gated: per-diagonal
       spans and per-cell timing wrappers are real, opted-in work).
 
     ``--check-trace-overhead X`` fails the run when the post-traced arm is
     more than ``X`` slower than the baseline (CI uses 0.03: the untraced
-    path must stay within 3% -- dispatch hoisting means its only tracing
-    cost is an ``is None`` test per solve, never per DP cell).
+    path must stay within 3% -- its only tracing cost is an ``is None``
+    test per solve and per diagonal, never per DP cell).
     """
     from repro.obs.trace import Tracer
 
@@ -1191,25 +1062,6 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument(
-        "--check-parallel-identity",
-        action="store_true",
-        help=(
-            "exit non-zero unless every parallel-tier solve of the "
-            "intra-solve parallelism section was bit-identical to the "
-            "serial reference (cost, kernel sequence, parenthesization)"
-        ),
-    )
-    parser.add_argument(
-        "--check-parallel-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help=(
-            "exit non-zero unless the parallel tier's aggregate cold-solve "
-            "speedup on chains >= 20 is at least X"
-        ),
-    )
-    parser.add_argument(
         "--serve",
         action="store_true",
         help=(
@@ -1352,14 +1204,6 @@ def main(argv=None) -> int:
     report["match_cache"] = run_match_cache(
         lengths, chains_per_length, args.seed, repeats=repeats
     )
-    print("\n== intra-solve parallelism: serial vs parallel tier, cold chains >= 20 ==")
-    if args.smoke:
-        parallel_lengths, parallel_repeats = (20, 22), 3
-    else:
-        parallel_lengths, parallel_repeats = (20, 22, 24, 22), 5
-    report["parallel"] = run_parallel(
-        parallel_lengths, args.seed, repeats=parallel_repeats
-    )
     if args.serve:
         print("\n== compilation service: warm-pool batch throughput ==")
         report["service"] = run_service(
@@ -1428,30 +1272,6 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 1
-    parallel = report["parallel"]
-    if not parallel["solutions_match"]:
-        print(
-            "ERROR: parallel-tier solutions diverged from the serial reference"
-            + (
-                " (--check-parallel-identity)"
-                if args.check_parallel_identity
-                else ""
-            ),
-            file=sys.stderr,
-        )
-        return 1
-    parallel_speedup = parallel["overall"]["speedup"]
-    print(f"parallel-tier cold speedup (chains >= 20): {parallel_speedup:.2f}x")
-    if (
-        args.check_parallel_speedup is not None
-        and parallel_speedup < args.check_parallel_speedup
-    ):
-        print(
-            f"ERROR: parallel-tier speedup {parallel_speedup:.2f}x below "
-            f"required {args.check_parallel_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
     if args.check_warm_speedup is not None:
         if warm_speedup is None or warm_speedup < args.check_warm_speedup:
             print(

@@ -407,9 +407,14 @@ def boot_server(workers: int, boot_timeout: float, snapshot_dir=None):
         cwd=REPO_ROOT,
     )
     try:
-        banner = process.stdout.readline()
+        # Workers booting from a snapshot log to the merged stream and may
+        # beat the banner to it; skip those lines.
+        for _ in range(4 * workers + 1):
+            banner = process.stdout.readline()
+            match = re.search(r"listening on http://([\d.]+):(\d+)", banner)
+            if match or not banner:
+                break
         print(f"server: {banner.strip()}")
-        match = re.search(r"http://([\d.]+):(\d+)", banner)
         if not match:
             raise RuntimeError(f"no address in server banner: {banner!r}")
         base = f"http://{match.group(1)}:{match.group(2)}"
@@ -621,14 +626,14 @@ def main(argv=None) -> int:
             return fail(f"/stats returned {status}")
 
         # Options parity: a request with a nested CompileOptions wire object
-        # (top-down solver, pruning and match cache off) must produce the
-        # same kernel sequence as the default bottom-up pipeline.
+        # (the exhaustive prune=False loop, match cache off) must produce the
+        # same kernel sequence as the default pipeline.
         status, body = http_json(
             "POST",
             f"{base}/compile",
             {
                 "source": tagged_source("opt"),
-                "options": {"solver": "topdown", "prune": False, "match_cache": False},
+                "options": {"prune": False, "match_cache": False},
             },
         )
         if status != 200:

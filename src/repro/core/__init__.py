@@ -4,6 +4,8 @@
   bottom-up DP, memoized DP, brute-force oracle, heuristics.
 * :mod:`repro.core.gmc` -- the Generalized Matrix Chain algorithm
   (Section 3): the paper's contribution.
+* :mod:`repro.core.decision_memo` -- the per-solve, signature-keyed memo
+  of per-split kernel decisions the GMC loop consults.
 * :mod:`repro.core.segments` -- decomposition of assignment DAGs
   (multi-assignment programs, references, non-chain subtrees, shared
   subexpressions) into ordered chain segments the solvers accept.
@@ -32,7 +34,6 @@ from .segments import (
     decompose_program,
     segment_telemetry,
 )
-from .topdown import TopDownGMC, TopDownSolution
 from .mcp import (
     MatrixChainDP,
     brute_force_optimal_cost,
@@ -44,15 +45,6 @@ from .mcp import (
     parenthesization_cost,
     right_to_left_cost,
 )
-
-
-def make_solver(options: Optional[CompileOptions] = None):
-    """Build the solver named by ``options.solver`` (the single place the
-    solver-name -> class mapping lives; every entry point routes through it).
-    """
-    options = options if options is not None else CompileOptions()
-    solver_cls = TopDownGMC if options.solver == "topdown" else GMCAlgorithm
-    return solver_cls(options)
 
 
 def _convenience_options(
@@ -77,7 +69,7 @@ def solve_chain(
     options: Optional[CompileOptions] = None,
 ) -> GMCSolution:
     """Solve a generalized matrix chain and return the full solution object."""
-    return make_solver(_convenience_options(metric, catalog, options)).solve(chain)
+    return GMCAlgorithm(_convenience_options(metric, catalog, options)).solve(chain)
 
 
 def generate_program(
@@ -88,14 +80,12 @@ def generate_program(
     options: Optional[CompileOptions] = None,
 ) -> Program:
     """Solve a generalized matrix chain and return the optimal kernel program."""
-    return make_solver(_convenience_options(metric, catalog, options)).generate(chain)
+    return GMCAlgorithm(_convenience_options(metric, catalog, options)).generate(chain)
 
 
 __all__ = [
     "GMCAlgorithm",
     "GMCSolution",
-    "TopDownGMC",
-    "TopDownSolution",
     "UncomputableChainError",
     "UncomputableSegmentError",
     "ChainSegment",
@@ -103,7 +93,6 @@ __all__ = [
     "SegmentTelemetry",
     "decompose_program",
     "segment_telemetry",
-    "make_solver",
     "MatrixChainDP",
     "matrix_chain_order",
     "memoized_matrix_chain",

@@ -26,7 +26,7 @@ are:
 ``splits[i][j]``
     The optimal split point ``k`` (the role of the ``s`` table in CLRS).
 
-Deviations from the pseudocode, all discussed in the paper:
+Deviations from the pseudocode (the first three are discussed in the paper):
 
 * property inference runs once per ``(i, j)`` cell (on the sub-chain
   expression) instead of once per split, realizing the ``O(n^3 + n^2 p)``
@@ -36,19 +36,26 @@ Deviations from the pseudocode, all discussed in the paper:
 * when no kernel matches a split the split simply gets infinite cost; the
   chain as a whole is still solved when another parenthesization is
   computable (completeness discussion of Section 3.4);
-* splits whose accumulated lower bound (:meth:`CostMetric.lower_bound` over
-  the already-known sub-chain costs) cannot beat the cell's best-so-far are
-  pruned before kernel matching -- a Hu/Shing-flavoured dominance reduction
-  generalized to property-dependent kernel costs (disable with
-  ``GMCAlgorithm(prune=False)`` to force the exhaustive reference loop).
+* a cell's splits are evaluated cheapest-lower-bound first
+  (:meth:`CostMetric.lower_bound` over the already-known sub-chain costs),
+  and once the best cost beats the next bound every remaining split is
+  dropped in one cut, before kernel matching -- a Hu/Shing-flavoured
+  dominance reduction generalized to property-dependent kernel costs
+  (``CompileOptions(prune=False)`` visits every split in ascending ``k``:
+  the exhaustive reference);
+* the recorded choice is the lexicographic ``(cost, k)`` argmin, so the
+  evaluation order never changes the plan;
+* whole per-split kernel decisions are memoized per solve by signature
+  (:class:`~repro.core.decision_memo.KernelDecisionMemo`) whenever the
+  match cache is on and signatures are trusted.
 """
 
 from __future__ import annotations
 
-import math
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..algebra.expression import Expression, Matrix, Temporary, signature_digest
 from ..algebra.inference import infer_properties
@@ -60,34 +67,26 @@ from ..kernels.catalog import KernelCatalog
 from ..kernels.kernel import Kernel, KernelCall, Program
 from ..matching.patterns import Substitution
 from ..options import CompileOptions, warn_legacy
-from .parallel import (
-    DeadlineChecker,
-    DiagonalEnv,
-    WorkCounters,
-    get_backend,
-    make_decision_memo,
-    resolve_worker_count,
-    run_diagonals,
-    solver_work_telemetry,
-)
+from .decision_memo import make_decision_memo
 
 #: Sentinel distinguishing "argument not passed" from explicit ``None``.
 _UNSET = object()
 
 
-def coerce_solver_options(
+def _coerce_options(
     cls_name: str,
     options,
     metric,
     prune,
     catalog,
 ) -> CompileOptions:
-    """Shared constructor shim of the solver classes.
+    """Constructor shim of :class:`GMCAlgorithm`.
 
-    The canonical call-shape is ``Solver(CompileOptions(...))`` (or the bare
-    ``Solver()``); the pre-options loose keywords ``catalog=/metric=/prune=``
-    (and a positional catalog) still work through this shim but raise one
-    :class:`DeprecationWarning` per construction.
+    The canonical call-shape is ``GMCAlgorithm(CompileOptions(...))`` (or
+    the bare ``GMCAlgorithm()``); the pre-options loose keywords
+    ``catalog=/metric=/prune=`` (and a positional catalog) still work
+    through this shim but raise one :class:`DeprecationWarning` per
+    construction.
     """
     if isinstance(options, KernelCatalog):  # legacy positional catalog
         catalog, options = options, None
@@ -163,6 +162,134 @@ def _uncomputable_message(solution) -> str:
     )
 
 
+class DeadlineChecker:
+    """A strided ``time.monotonic`` gate for ``deadline_s``.
+
+    One checker is created per solve and polled at every DP cell boundary.
+    To keep the poll cheap, the clock is only read every
+    *stride* calls; the stride adapts to the observed time between clock
+    reads so cheap cells amortize the syscall while expensive cells keep
+    the truncation point tight (target: one clock read every
+    ~``_TARGET_S`` seconds, stride clamped to [1, ``_MAX_STRIDE``]).  The
+    very first call always reads the clock, so an already-expired budget
+    truncates before any work happens (the truncation-point tests rely on
+    this).  Expiry is sticky.
+    """
+
+    __slots__ = ("deadline", "_stride", "_budget", "_expired", "_last_check")
+
+    _MAX_STRIDE = 64
+    _TARGET_S = 0.002
+
+    def __init__(self, deadline_s: Optional[float]) -> None:
+        self.deadline = (
+            None if deadline_s is None else time.monotonic() + deadline_s
+        )
+        self._stride = 1
+        self._budget = 0  # calls left before the next real clock read
+        self._expired = False
+        self._last_check: Optional[float] = None
+
+    def expired(self) -> bool:
+        """Whether the budget has run out (strided clock reads)."""
+        if self.deadline is None:
+            return False
+        if self._expired:
+            return True
+        if self._budget > 0:
+            self._budget -= 1
+            return False
+        now = time.monotonic()
+        if now > self.deadline:
+            self._expired = True
+            return True
+        last = self._last_check
+        self._last_check = now
+        if last is not None:
+            elapsed = now - last
+            if elapsed < self._TARGET_S / 4 and self._stride < self._MAX_STRIDE:
+                self._stride *= 2
+            elif elapsed > self._TARGET_S and self._stride > 1:
+                self._stride //= 2
+        self._budget = self._stride - 1
+        return False
+
+
+class WorkCounters:
+    """Per-solve work counters surfaced on the solution objects.
+
+    ``cells_evaluated`` counts DP cells whose split loop ran to completion;
+    ``cells_pruned`` counts split *candidates* skipped by the lower-bound
+    prune inside those cells; ``diagonals`` counts anti-diagonals entered;
+    ``memo_hits`` / ``memo_misses`` count
+    :class:`~repro.core.decision_memo.KernelDecisionMemo` lookups (zero when
+    the solve runs without a memo).
+    """
+
+    __slots__ = ("cells_evaluated", "cells_pruned", "diagonals", "memo_hits", "memo_misses")
+
+    def __init__(self) -> None:
+        self.cells_evaluated = 0
+        self.cells_pruned = 0
+        self.diagonals = 0
+        self.memo_hits = 0
+        self.memo_misses = 0
+
+
+class SolverWorkTelemetry:
+    """Process-global accumulator behind the ``solver`` telemetry layer.
+
+    Follows the uniform ``stats()`` / ``reset_stats()`` protocol of the
+    cache layers (:mod:`repro.telemetry`), so solver work aggregates across
+    pool workers exactly like cache counters do.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.reset_stats()
+
+    def record(self, counters: WorkCounters) -> None:
+        with self._lock:
+            self.solves += 1
+            self.cells_evaluated += counters.cells_evaluated
+            self.cells_pruned += counters.cells_pruned
+            self.diagonals += counters.diagonals
+            self.hits += counters.memo_hits
+            self.misses += counters.memo_misses
+
+    def stats(self) -> Dict[str, object]:
+        # ``hits``/``misses`` are decision-memo lookups (the layer's only
+        # cache-like component); the remaining keys count raw solver work.
+        with self._lock:
+            total = self.hits + self.misses
+            return {
+                "layer": "solver",
+                "solves": self.solves,
+                "cells_evaluated": self.cells_evaluated,
+                "cells_pruned": self.cells_pruned,
+                "diagonals": self.diagonals,
+                "hits": self.hits,
+                "misses": self.misses,
+                "hit_rate": self.hits / total if total else 0.0,
+            }
+
+    def reset_stats(self) -> None:
+        self.solves = 0
+        self.cells_evaluated = 0
+        self.cells_pruned = 0
+        self.diagonals = 0
+        self.hits = 0
+        self.misses = 0
+
+
+_WORK_TELEMETRY = SolverWorkTelemetry()
+
+
+def solver_work_telemetry() -> SolverWorkTelemetry:
+    """The process-wide solver work accumulator (telemetry layer ``solver``)."""
+    return _WORK_TELEMETRY
+
+
 @dataclass
 class _CellChoice:
     """The kernel decision recorded for one DP cell."""
@@ -196,7 +323,7 @@ class GMCSolution:
     #: expired mid-solve: the tables hold the best-so-far state and cells
     #: past the cutoff were never evaluated.
     complete: bool = True
-    #: Solver work counters (see :mod:`repro.core.parallel`): DP cells whose
+    #: Solver work counters (see :class:`WorkCounters`): DP cells whose
     #: split loop ran to completion, split candidates skipped by the
     #: lower-bound prune, and anti-diagonals entered.
     cells_evaluated: int = 0
@@ -333,13 +460,14 @@ class GMCAlgorithm:
     pre-options loose keywords ``catalog=/metric=/prune=`` still work but
     are deprecated.
 
-    ``options.prune`` skips splits whose lower-bounded accumulated cost
-    (:meth:`CostMetric.lower_bound`) already meets or exceeds the cell's
-    best-so-far, avoiding their kernel matching entirely.  The optimum is
-    unaffected (the bound is sound for every metric that reports one);
-    disable it to time or differentially test the exhaustive loop.
-    ``options.match_cache`` controls whether ``catalog.match`` is served
-    through the signature-keyed match cache.
+    ``options.prune`` visits a cell's splits cheapest-lower-bound first
+    (:meth:`CostMetric.lower_bound`) and drops every split that provably
+    cannot beat the best-so-far, avoiding their kernel matching entirely.
+    The plan is unaffected (the bound is sound for every metric that
+    reports one); disable it to time or differentially test the exhaustive
+    ascending-``k`` loop.  ``options.match_cache`` controls whether
+    ``catalog.match`` is served through the signature-keyed match cache
+    and whether per-split kernel decisions are memoized.
 
     Example
     -------
@@ -360,7 +488,7 @@ class GMCAlgorithm:
         *,
         catalog=_UNSET,
     ) -> None:
-        self.options = coerce_solver_options(
+        self.options = _coerce_options(
             type(self).__name__, options, metric, prune, catalog
         )
         self.catalog: KernelCatalog = self.options.resolve_catalog()
@@ -368,11 +496,10 @@ class GMCAlgorithm:
         self.prune: bool = self.options.prune
         self.use_match_cache: bool = self.options.match_cache
         self.deadline_s = self.options.deadline_s
-        self.parallelism: str = self.options.parallelism
         #: Optional :class:`repro.obs.trace.Tracer` recording per-phase spans
-        #: of every solve.  ``None`` (the default) keeps the DP loops on the
-        #: untraced reference path -- the traced-off overhead the bench gate
-        #: measures is one ``is None`` test per solve, never per cell.
+        #: of every solve.  ``None`` (the default) leaves the loop's decision
+        #: and commit steps unwrapped -- the traced-off overhead is one
+        #: ``is None`` test per diagonal, never per cell.
         self.tracer = None
 
     # ------------------------------------------------------------------ API
@@ -386,13 +513,7 @@ class GMCAlgorithm:
         start = time.perf_counter()
         tracer = self.tracer
         if tracer is not None:
-            tracer.begin(
-                "solve",
-                solver="gmc",
-                n=len(factors),
-                metric=self.metric.name,
-                parallelism=self.parallelism,
-            )
+            tracer.begin("solve", n=len(factors), metric=self.metric.name)
         solution = self._solve_factors(factors, expression)
         solution.generation_time = time.perf_counter() - start
         if tracer is not None:
@@ -441,23 +562,7 @@ class GMCAlgorithm:
 
         checker = DeadlineChecker(self.deadline_s)
         work = WorkCounters()
-        workers = resolve_worker_count(self.parallelism)
-        tracer = self.tracer
-        if workers > 1:
-            complete = self._fill_parallel(
-                factors, n, costs, splits, choices, tmps, checker, work, workers
-            )
-        elif tracer is None:
-            complete = self._fill_serial(
-                factors, n, costs, splits, choices, tmps, checker, work
-            )
-        else:
-            # Traced solves run the identical reference loop one diagonal at
-            # a time so each anti-diagonal gets its own span; the untraced
-            # branch above never pays for this.
-            complete = self._fill_serial_traced(
-                factors, n, costs, splits, choices, tmps, checker, work, tracer
-            )
+        complete = self._fill(factors, costs, splits, choices, tmps, checker, work)
         solver_work_telemetry().record(work)
 
         return GMCSolution(
@@ -475,196 +580,73 @@ class GMCAlgorithm:
             diagonals=work.diagonals,
         )
 
-    def _fill_serial(
-        self, factors, n, costs, splits, choices, tmps, checker, work, lengths=None
-    ) -> bool:
-        """The serial reference loop (paper Fig. 4, exactly as before).
+    def _fill(self, factors, costs, splits, choices, tmps, checker, work) -> bool:
+        """Fill the DP tables anti-diagonal by anti-diagonal (paper Fig. 4).
 
-        This path is deliberately left as the ascending-``k`` reference
-        implementation: the parallel tier (:meth:`_fill_parallel`) is
-        asserted bit-identical against it, diagonal by diagonal.
+        Every cell of diagonal ``length`` reads only cells of shorter
+        sub-chains, committed by earlier diagonals.  Returns the
+        ``complete`` flag: the deadline (``options.deadline_s``) is polled
+        at every cell boundary (strided clock reads, see
+        :class:`DeadlineChecker`), and once it expires the remaining cells
+        are abandoned and the best-so-far tables are returned.
 
-        *lengths* restricts the fill to the given anti-diagonals (the traced
-        wrapper runs one at a time); ``None`` fills all of them.
+        A traced solve runs this same loop with the decision and commit
+        steps wrapped in timers: each anti-diagonal gets a ``diagonal`` span
+        with the work-counter deltas and aggregate ``kernel_matching`` /
+        ``inference`` child phases.
         """
+        n = len(factors)
         metric = self.metric
         prune = self.prune
-        complete = True
-        for length in range(1, n) if lengths is None else lengths:
-            if not complete:
-                break
-            # Anti-diagonal ``length``: the work queue of independent cells
-            # (i, i + length); the serial tier drains it in ascending i.
-            work.diagonals += 1
-            for i in range(0, n - length):
-                # Deadline enforcement (``options.deadline_s``): checked at
-                # every cell boundary (strided clock reads, see
-                # DeadlineChecker), so an expired budget abandons the
-                # remaining cells and returns the best-so-far tables marked
-                # ``complete=False`` instead of silently ignoring the budget.
-                if checker.expired():
-                    complete = False
-                    break
-                j = i + length
-                work.cells_evaluated += 1
-                best_cost = costs[i][j]
-                best_choice: Optional[_CellChoice] = None
-                for k in range(i, j):
-                    left_cost = costs[i][k]
-                    right_cost = costs[k + 1][j]
-                    # Uncomputability propagation: a split over a dead
-                    # sub-chain is dead; it never reaches kernel matching.
-                    if metric.is_infinite(left_cost) or metric.is_infinite(right_cost):
-                        continue
-                    if prune and best_choice is not None:
-                        # The accumulated cost of this split is at least the
-                        # lower bound; when that already fails to beat the
-                        # best-so-far, matching cannot change the outcome.
-                        bound = metric.lower_bound(left_cost, right_cost)
-                        if bound is not None and not bound < best_cost:
-                            work.cells_pruned += 1
-                            continue
-                    expr = Times(tmps[i][k], tmps[k + 1][j])
-                    matched = self._best_kernel(expr)
-                    if matched is None:
-                        continue
-                    kernel, substitution, kernel_cost = matched
-                    cost = metric.combine(metric.combine(left_cost, right_cost), kernel_cost)
-                    if cost < best_cost:
-                        best_cost = cost
-                        best_choice = _CellChoice(
-                            kernel=kernel,
-                            substitution=substitution,
-                            expression=expr,
-                            split=k,
-                            kernel_cost=kernel_cost,
-                        )
-                if best_choice is not None:
-                    self._commit_cell(
-                        factors, costs, splits, choices, tmps, i, j, best_cost, best_choice
-                    )
-        return complete
-
-    def _fill_serial_traced(
-        self, factors, n, costs, splits, choices, tmps, checker, work, tracer
-    ) -> bool:
-        """Traced serial fill: the reference loop, one diagonal per span.
-
-        Each anti-diagonal gets a ``diagonal`` span carrying the
-        cells-evaluated / cells-pruned deltas, plus aggregate
-        ``kernel_matching`` and ``inference`` child phases accumulated from
-        per-cell timing wrappers (installed as instance attributes for the
-        duration of this fill only, so untraced solves never see them).
-        """
-        phase = {"match": 0.0, "infer": 0.0}
-        base_best = self._best_kernel
-        base_commit = self._commit_cell
-        clock = time.perf_counter
-
-        def timed_best(expr):
-            started = clock()
-            try:
-                return base_best(expr)
-            finally:
-                phase["match"] += clock() - started
-
-        def timed_commit(*args):
-            started = clock()
-            try:
-                return base_commit(*args)
-            finally:
-                phase["infer"] += clock() - started
-
-        self._best_kernel = timed_best  # type: ignore[method-assign]
-        self._commit_cell = timed_commit  # type: ignore[method-assign]
-        complete = True
-        try:
-            with tracer.span("dp_fill", n=n):
-                for length in range(1, n):
-                    cells0 = work.cells_evaluated
-                    pruned0 = work.cells_pruned
-                    phase["match"] = phase["infer"] = 0.0
-                    span = tracer.begin("diagonal", length=length)
-                    complete = self._fill_serial(
-                        factors,
-                        n,
-                        costs,
-                        splits,
-                        choices,
-                        tmps,
-                        checker,
-                        work,
-                        lengths=(length,),
-                    )
-                    tracer.end(
-                        cells_evaluated=work.cells_evaluated - cells0,
-                        cells_pruned=work.cells_pruned - pruned0,
-                    )
-                    tracer.add_phase(
-                        span, "kernel_matching", span.start, phase["match"]
-                    )
-                    tracer.add_phase(
-                        span, "inference", span.start + phase["match"], phase["infer"]
-                    )
-                    if not complete:
-                        break
-        finally:
-            del self._best_kernel
-            del self._commit_cell
-        return complete
-
-    def _fill_parallel(
-        self, factors, n, costs, splits, choices, tmps, checker, work, workers
-    ) -> bool:
-        """Dispatch each anti-diagonal across the parallel backend.
-
-        Cell tasks only read table state committed by previous diagonals;
-        commits happen on this thread, in ascending ``i`` order, after the
-        diagonal's queue has drained -- so the tables never hold a
-        half-written cell (see :mod:`repro.core.parallel` for why the
-        result is bit-identical to :meth:`_fill_serial`).
-        """
-
-        def operand(i: int, j: int):
-            return tmps[i][j]
-
-        def commit(i: int, j: int, entry) -> None:
-            if entry is None:
-                return
-            best_cost, k, (kernel, substitution, expr, kernel_cost) = entry
-            best_choice = _CellChoice(
-                kernel=kernel,
-                substitution=substitution,
-                expression=expr,
-                split=k,
-                kernel_cost=kernel_cost,
-            )
-            self._commit_cell(
-                factors, costs, splits, choices, tmps, i, j, best_cost, best_choice
-            )
-
         # Memoize whole kernel decisions by split signature (sound under
         # the same conditions as the match cache; the factory returns None
         # otherwise, routing every split through the raw picker).
         memo = (
-            make_decision_memo(self.catalog, self.metric, self._best_kernel)
+            make_decision_memo(self.catalog, metric, self._best_kernel)
             if self.use_match_cache
             else None
         )
-
-        env = DiagonalEnv(
-            n=n,
-            costs=costs,
-            metric=self.metric,
-            prune=self.prune,
-            best_kernel=self._best_kernel,
-            decide_pair=memo.decide_pair if memo is not None else None,
-            operand=operand,
-            commit=commit,
-        )
-        complete = run_diagonals(
-            env, get_backend(workers), checker, work, tracer=self.tracer
-        )
+        decide = memo.decide_pair if memo is not None else self._decide_pair
+        commit = self._commit_cell
+        tracer = self.tracer
+        if tracer is not None:
+            phase = {"match": 0.0, "infer": 0.0}
+            decide = _timed(decide, phase, "match")
+            commit = _timed(commit, phase, "infer")
+            tracer.begin("dp_fill", n=n)
+        complete = True
+        for length in range(1, n):
+            work.diagonals += 1
+            if tracer is not None:
+                cells0 = work.cells_evaluated
+                pruned0 = work.cells_pruned
+                phase["match"] = phase["infer"] = 0.0
+                span = tracer.begin("diagonal", length=length, cells=n - length)
+            for i in range(n - length):
+                if checker.expired():
+                    complete = False
+                    break
+                j = i + length
+                best, pruned = _evaluate_splits(
+                    costs, tmps, i, j, metric, prune, decide
+                )
+                work.cells_evaluated += 1
+                work.cells_pruned += pruned
+                if best is not None:
+                    commit(factors, costs, splits, choices, tmps, i, j, *best)
+            if tracer is not None:
+                tracer.end(
+                    cells_evaluated=work.cells_evaluated - cells0,
+                    cells_pruned=work.cells_pruned - pruned0,
+                )
+                tracer.add_phase(span, "kernel_matching", span.start, phase["match"])
+                tracer.add_phase(
+                    span, "inference", span.start + phase["match"], phase["infer"]
+                )
+            if not complete:
+                break
+        if tracer is not None:
+            tracer.end(complete=complete)
         if memo is not None:
             work.memo_hits += memo.hits
             work.memo_misses += memo.misses
@@ -709,6 +691,117 @@ class GMCAlgorithm:
                 best_key = key
                 best = (kernel, substitution, kernel_cost)
         return best
+
+    def _decide_pair(
+        self, left: Expression, right: Expression
+    ) -> Optional[Tuple[Kernel, Substitution, object, Expression]]:
+        """The unmemoized decision for ``Times(left, right)`` (the shape of
+        :meth:`KernelDecisionMemo.decide_pair
+        <repro.core.decision_memo.KernelDecisionMemo.decide_pair>`)."""
+        expr = Times(left, right)
+        matched = self._best_kernel(expr)
+        return None if matched is None else matched + (expr,)
+
+
+def _evaluate_splits(costs, tmps, i, j, metric, prune, decide):
+    """The best split of cell ``(i, j)``: ``((cost, choice), pruned)``.
+
+    *best* is ``None`` when no split of the cell is computable; *pruned*
+    counts the split candidates skipped by the lower bound.  A split over
+    an uncomputable (infinite-cost) sub-chain is dead and never reaches
+    kernel matching.
+
+    The recorded choice is the lexicographic ``(cost, k)`` argmin -- the
+    smallest ``k`` attaining the minimal cost -- whatever order the splits
+    are visited in.  With *prune* on (and a metric that reports lower
+    bounds) the splits are visited cheapest-lower-bound first; once the
+    best cost is below the next bound, every remaining split provably costs
+    more and all of them are dropped in one cut, and a split whose bound
+    only ties the best cost at a larger ``k`` is skipped as well.  With
+    *prune* off every split is decided, in ascending ``k``.  Costs are
+    accumulated as ``combine(combine(left, right), kernel)`` in either
+    order, so the two modes return bit-identical plans.
+    """
+    is_infinite = metric.is_infinite
+    row = costs[i]
+    live = []
+    for k in range(i, j):
+        left_cost = row[k]
+        right_cost = costs[k + 1][j]
+        if is_infinite(left_cost) or is_infinite(right_cost):
+            continue
+        live.append((k, left_cost, right_cost))
+    if not live:
+        return None, 0
+
+    use_bounds = False
+    if prune:
+        lower_bound = metric.lower_bound
+        bounded = [(lower_bound(lc, rc), k, lc, rc) for (k, lc, rc) in live]
+        if all(entry[0] is not None for entry in bounded):
+            use_bounds = True
+            # Distinct k values break every (bound, k) tie, so plain tuple
+            # order sorts by (bound, k) without a key function.
+            live = sorted(bounded)
+
+    combine = metric.combine
+    left_row = tmps[i]
+    best = None  # (kernel, substitution, expr, kernel_cost, left, right)
+    best_cost = best_k = None
+    pruned = 0
+    for position, item in enumerate(live):
+        if use_bounds:
+            bound, k, left_cost, right_cost = item
+            if best is not None:
+                if best_cost < bound:
+                    pruned += len(live) - position
+                    break
+                if not bound < best_cost and k > best_k:
+                    pruned += 1
+                    continue
+        else:
+            k, left_cost, right_cost = item
+        left = left_row[k]
+        right = tmps[k + 1][j]
+        decision = decide(left, right)
+        if decision is None:
+            continue
+        kernel, substitution, kernel_cost, expr = decision
+        cost = combine(combine(left_cost, right_cost), kernel_cost)
+        if is_infinite(cost):
+            continue
+        if best is not None and not (
+            cost < best_cost or (not best_cost < cost and k < best_k)
+        ):
+            continue
+        best = (kernel, substitution, expr, kernel_cost, left, right)
+        best_cost, best_k = cost, k
+    if best is None:
+        return None, pruned
+    kernel, substitution, expr, kernel_cost, left, right = best
+    choice = _CellChoice(
+        kernel=kernel,
+        substitution=substitution,
+        # Memo hits skip building the subject; only the winner needs it.
+        expression=Times(left, right) if expr is None else expr,
+        split=best_k,
+        kernel_cost=kernel_cost,
+    )
+    return (best_cost, choice), pruned
+
+
+def _timed(function, totals: Dict[str, float], key: str):
+    """*function*, accumulating its wall time into ``totals[key]``."""
+    clock = time.perf_counter
+
+    def timed(*args):
+        started = clock()
+        try:
+            return function(*args)
+        finally:
+            totals[key] += clock() - started
+
+    return timed
 
 
 def _coerce_chain(chain: ChainLike) -> Tuple[Tuple[Expression, ...], Expression]:

@@ -1,6 +1,6 @@
 """Decomposition of assignment DAGs into ordered matrix-chain segments.
 
-The GMC solvers (:mod:`repro.core.gmc`, :mod:`repro.core.topdown`) eat one
+The GMC solver (:mod:`repro.core.gmc`) eats one
 *matrix chain* at a time, but the programs the paper motivates -- the
 ensemble Kalman filter, the generalized eigenproblem, Jacobian blocks of a
 symbolic model -- are expression *DAGs*: several assignments, later

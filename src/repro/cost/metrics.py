@@ -47,8 +47,8 @@ class CostMetric:
     #: shape/property signature captures -- dimensions, declared properties
     #: and the leaf-equality pattern -- never on operand *names* or object
     #: identity.  True for every built-in metric (they price kernels from
-    #: shapes); the parallel tier's signature-keyed decision memo
-    #: (:class:`repro.core.parallel.KernelDecisionMemo`) requires it.
+    #: shapes); the GMC loop's signature-keyed decision memo
+    #: (:class:`repro.core.decision_memo.KernelDecisionMemo`) requires it.
     #: Metrics that inspect names must set this to ``False``.
     signature_pure: bool = True
     #: Whether every kernel cost is guaranteed to be >= :attr:`zero` under
@@ -338,7 +338,7 @@ class CustomMetric(CostMetric):
     ``cacheable=True`` when the function is pure.  Likewise they may return
     negative costs, so DP split pruning is off unless ``nonnegative=True``
     promises that the function never does; and they may inspect operand
-    names, so the signature-keyed decision memo of the parallel tier is off
+    names, so the GMC loop's signature-keyed decision memo is off
     unless ``signature_pure=True`` promises shape/property-only pricing.
     """
 

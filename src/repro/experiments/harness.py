@@ -239,6 +239,7 @@ def run_problem(
         except StrategyError as error:
             programs.append((strategy.name, strategy.label, None, str(error)))
 
+    measurable: List[Tuple[StrategyResult, Program]] = []
     for name, label, program, error in programs:
         if program is None:
             problem_result.results[name] = StrategyResult(
@@ -261,38 +262,46 @@ def run_problem(
             modeled_time=modeled_time,
             kernel_sequence=program.kernel_names,
         )
-        if environment is not None:
-            result.measured_time, result.correct = _execute_and_validate(
-                program, problem, environment, config
-            )
         problem_result.results[name] = result
+        measurable.append((result, program))
+    if environment is not None:
+        _execute_and_validate(measurable, problem, environment, config)
     return problem_result
 
 
 def _execute_and_validate(
-    program: Program,
+    measurable: Sequence[Tuple[StrategyResult, Program]],
     problem: TestProblem,
     environment: Mapping[str, np.ndarray],
     config: HarnessConfig,
-) -> Tuple[Optional[float], Optional[bool]]:
-    measured: Optional[float] = None
-    correct: Optional[bool] = None
-    try:
-        samples = []
-        value = None
-        for _ in range(max(1, config.repetitions)):
+) -> None:
+    """Run every program once (validated), then time each one min-of-N.
+
+    The timed rounds interleave the programs: a burst of machine noise then
+    inflates one sample of every program rather than every sample of one,
+    and the minimum over ``config.repetitions`` rounds discards it.
+    """
+    timed = []
+    for result, program in measurable:
+        try:
+            value = Executor().execute(program, environment)
+        except Exception:  # pragma: no cover - defensive: execution errors are recorded
+            result.correct = False
+            continue
+        if config.validate:
+            result.correct = allclose(
+                problem.expression, environment, value, rtol=1e-6, atol=1e-6
+            )
+        if config.execute:
+            timed.append((result, program, []))
+    for _ in range(max(1, config.repetitions)):
+        for result, program, samples in timed:
             executor = Executor()
             start = time.perf_counter()
-            value = executor.execute(program, environment)
+            executor.execute(program, environment)
             samples.append(time.perf_counter() - start)
-        if config.execute:
-            measured = min(samples)
-        if config.validate and value is not None:
-            correct = allclose(problem.expression, environment, value, rtol=1e-6, atol=1e-6)
-    except Exception:  # pragma: no cover - defensive: execution errors are recorded
-        measured = None
-        correct = False
-    return measured, correct
+    for result, _, samples in timed:
+        result.measured_time = min(samples)
 
 
 def run_experiment(

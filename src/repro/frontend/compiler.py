@@ -35,14 +35,12 @@ from ..algebra.dsl import Program as ParsedProgram
 from ..algebra.dsl import parse_program
 from ..algebra.expression import Expression, Matrix
 from ..codegen import available_emitters, get_emitter
-from ..core import make_solver
-from ..core.gmc import UncomputableChainError
+from ..core.gmc import GMCAlgorithm, UncomputableChainError, solver_work_telemetry
 from ..core.segments import (
     UncomputableSegmentError,
     decompose_program,
     segment_telemetry,
 )
-from ..core.parallel import solver_work_telemetry
 from ..cost.metrics import CostMetric, resolve_metric
 from ..kernels.catalog import KernelCatalog
 from ..kernels.kernel import KernelCall, Program
@@ -68,7 +66,7 @@ class CompiledAssignment:
 
     target: str
     expression: Expression
-    solution: object  # GMCSolution or TopDownSolution
+    solution: object  # GMCSolution or CachedPlanSolution
     program: Program
     synthetic: bool = False
     result_operand: Optional[Expression] = None
@@ -307,11 +305,11 @@ class Compiler:
 
     Per-call options may override the session options (same catalog, fresh
     pipeline flags), which is how the service serves requests with differing
-    solver/metric/prune settings from one warm session.
+    metric/prune settings from one warm session.
 
     Example
     -------
-    >>> compiler = Compiler(CompileOptions(solver="topdown"))
+    >>> compiler = Compiler(CompileOptions(metric="time"))
     >>> result = compiler.compile('''
     ... Matrix A (100, 100) <SPD>
     ... Matrix B (100, 40) <>
@@ -393,10 +391,12 @@ class Compiler:
                 metric.cost_cache_size = options.cost_cache_size
         return metric
 
-    def solver(self, options: Optional[CompileOptions] = None, **overrides):
-        """A solver (bottom-up or top-down per ``options.solver``) bound to
-        the session's catalog and live metric instance."""
-        return make_solver(self._effective_options(options, overrides))
+    def solver(
+        self, options: Optional[CompileOptions] = None, **overrides
+    ) -> GMCAlgorithm:
+        """A GMC solver bound to the session's catalog and live metric
+        instance."""
+        return GMCAlgorithm(self._effective_options(options, overrides))
 
     # ------------------------------------------------------------------ API
     def compile(
@@ -435,7 +435,7 @@ class Compiler:
         # tests ``tracer is not None`` at phase boundaries.
         tracer = Tracer() if effective.trace else None
         if tracer is not None:
-            tracer.begin("compile", solver=effective.solver, metric=effective.metric_name)
+            tracer.begin("compile", metric=effective.metric_name)
             tracer.begin("parse")
         program = self._coerce_program(problem)
         if tracer is not None:
@@ -495,11 +495,11 @@ class Compiler:
                     telemetry.record_lookup(solution is not None)
             if solution is None:
                 if solver is None:
-                    solver = make_solver(effective)
+                    solver = GMCAlgorithm(effective)
                     if tracer is not None:
-                        # Both solvers carry a ``tracer`` handle defaulting
-                        # to None; sharing this tracer nests their per-solve
-                        # spans under the current segment span.
+                        # The solver's ``tracer`` handle defaults to None;
+                        # sharing this tracer nests its per-solve spans
+                        # under the current segment span.
                         solver.tracer = tracer
                 solution = solver.solve(expression)
                 if use_plan_cache:
@@ -654,25 +654,12 @@ def compile_source(
 # Command line.
 # ---------------------------------------------------------------------------
 
-def _parallel_policy(value: str) -> str:
-    """argparse type for ``--parallel``: validate the policy eagerly."""
-    from ..core.parallel import parse_parallelism
-
-    try:
-        parse_parallelism(value)
-    except (TypeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return value
-
-
 def build_options(args: argparse.Namespace) -> CompileOptions:
     """The one place CLI flags become a :class:`CompileOptions` value."""
     return CompileOptions(
-        solver=args.solver,
         metric=args.metric,
         prune=not args.no_prune,
         match_cache=not args.no_match_cache,
-        parallelism=args.parallel,
         trace=getattr(args, "trace", None) is not None,
         profile=getattr(args, "profile", False),
     )
@@ -696,31 +683,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="cost metric to minimize (default: flops)",
     )
     parser.add_argument(
-        "--solver",
-        default="gmc",
-        choices=["gmc", "topdown"],
-        help="DP solver: bottom-up gmc or memoized topdown (default: gmc)",
-    )
-    parser.add_argument(
         "--no-prune",
         action="store_true",
-        help="disable DP split pruning (exhaustive reference loop)",
+        help="disable DP split pruning (exhaustive ascending-k reference loop)",
     )
     parser.add_argument(
         "--no-match-cache",
         action="store_true",
         help="bypass the signature-keyed kernel-match cache",
-    )
-    parser.add_argument(
-        "--parallel",
-        default="serial",
-        type=_parallel_policy,
-        metavar="POLICY",
-        help=(
-            "intra-solve parallelism policy: 'serial' (default), "
-            "'threads:N' (dispatch each DP anti-diagonal across N "
-            "threads) or 'auto' (one thread per available core)"
-        ),
     )
     parser.add_argument(
         "--emit",
@@ -842,16 +812,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # pipeline flags would be silently overridden by every request.
         # Reject them loudly rather than pretend they apply.
         ignored = []
-        if args.solver != "gmc":
-            ignored.append("--solver")
         if args.metric != "flops":
             ignored.append("--metric")
         if args.no_prune:
             ignored.append("--no-prune")
         if args.no_match_cache:
             ignored.append("--no-match-cache")
-        if args.parallel != "serial":
-            ignored.append("--parallel")
         if args.emit != "report":
             ignored.append("--emit")
         if args.trace is not None:

@@ -88,8 +88,8 @@ class Tracer:
     without either layer knowing about the other.
 
     The stack discipline assumes begin/end pairs are strictly nested on one
-    thread -- true for the compile pipeline (the parallel tier opens its
-    per-diagonal spans on the orchestrating thread, not inside cell tasks).
+    thread -- true for the compile pipeline, which runs in the calling
+    thread.
     """
 
     def __init__(self) -> None:

@@ -7,7 +7,6 @@ the benchmark/experiment scripts -- configures the pipeline through one
 frozen :class:`CompileOptions` value instead of loose keyword arguments and
 process-global toggles.  The options object names:
 
-* the **solver** (``"gmc"`` bottom-up or ``"topdown"`` memoized),
 * the **cost metric** (a name understood by
   :func:`repro.cost.metrics.resolve_metric`, or a live
   :class:`~repro.cost.metrics.CostMetric` instance),
@@ -36,10 +35,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from .cost.metrics import CostMetric, resolve_metric
 
-__all__ = ["SOLVERS", "CompileOptions", "warn_legacy", "warn_legacy_wire"]
-
-#: Solver names a :class:`CompileOptions` may select.
-SOLVERS = ("gmc", "topdown")
+__all__ = ["CompileOptions", "warn_legacy", "warn_legacy_wire"]
 
 #: Upper bound on :attr:`CompileOptions.cost_cache_size`.  The field is
 #: client-controlled on the service wire; an unbounded value would let a
@@ -49,7 +45,6 @@ MAX_COST_CACHE_SIZE = 1_000_000
 
 #: Keys of the JSON wire form of :class:`CompileOptions`.
 _WIRE_KEYS = (
-    "solver",
     "metric",
     "emit",
     "prune",
@@ -57,7 +52,6 @@ _WIRE_KEYS = (
     "plan_cache",
     "deadline_s",
     "cost_cache_size",
-    "parallelism",
     "trace",
     "profile",
 )
@@ -104,18 +98,18 @@ class CompileOptions:
 
     Example
     -------
-    >>> options = CompileOptions(solver="topdown", metric="time", prune=False)
+    >>> options = CompileOptions(metric="time", prune=False)
     >>> options.replace(prune=True).prune
     True
     """
 
-    #: DP solver: ``"gmc"`` (bottom-up, paper Fig. 4) or ``"topdown"``.
-    solver: str = "gmc"
     #: Cost metric: a resolvable name or a live :class:`CostMetric`.
     metric: Union[str, CostMetric] = "flops"
     #: Kernel catalog; ``None`` selects the shared default catalog.
     catalog: Optional[Any] = None
-    #: Skip splits whose lower-bounded cost cannot beat the best-so-far.
+    #: Visit splits cheapest-lower-bound first and skip those that cannot
+    #: beat the best-so-far; ``False`` is the exhaustive ascending-``k``
+    #: reference loop (same plans).
     prune: bool = True
     #: Serve ``catalog.match`` through the signature-keyed match cache.
     match_cache: bool = True
@@ -132,27 +126,19 @@ class CompileOptions:
     deadline_s: Optional[float] = None
     #: Override for the per-metric kernel-cost LRU capacity.
     cost_cache_size: Optional[int] = None
-    #: Intra-solve parallelism policy (:mod:`repro.core.parallel`):
-    #: ``"serial"`` (the reference DP loops), ``"threads:N"`` (dispatch each
-    #: anti-diagonal across N persistent threads) or ``"auto"`` (one thread
-    #: per available core, respecting the service pool's per-worker cap).
-    #: The policy never changes the solution -- parallel and serial solves
-    #: are bit-identical -- so it is excluded from the plan-cache
-    #: fingerprint.
-    parallelism: str = "serial"
     #: Record a span tree for the compilation (:mod:`repro.obs.trace`):
     #: per-segment phases with cache-hit provenance and per-anti-diagonal DP
     #: spans, exposed as ``CompilationResult.trace``.  Diagnostic only -- it
-    #: never changes the solution, so (like ``parallelism``) it is excluded
-    #: from the plan-cache fingerprint.  Off by default; the disabled hot
-    #: path pays no per-cell cost.
+    #: never changes the solution, so it is excluded from the plan-cache
+    #: fingerprint.  Off by default; the disabled hot path pays no per-cell
+    #: cost.
     trace: bool = False
     #: Run the solve under ``cProfile`` (:mod:`repro.obs.profile`) and
     #: attach the top functions plus ``flamegraph.pl``-compatible
     #: collapsed stacks to the response (``CompileResponse.profile``;
     #: ``POST /profile`` returns the collapsed text directly).  Diagnostic
-    #: only -- like ``trace``/``parallelism`` it never changes the
-    #: solution and is excluded from the plan-cache fingerprint.
+    #: only -- like ``trace`` it never changes the solution and is
+    #: excluded from the plan-cache fingerprint.
     profile: bool = False
 
     def __post_init__(self) -> None:
@@ -162,10 +148,6 @@ class CompileOptions:
     # ------------------------------------------------------------ validation
     def validate(self) -> None:
         """Raise :class:`ValueError`/:class:`TypeError` on any bad field."""
-        if self.solver not in SOLVERS:
-            raise ValueError(
-                f"unknown solver {self.solver!r}; expected one of {SOLVERS}"
-            )
         if not isinstance(self.metric, CostMetric):
             resolve_metric(self.metric)  # raises on unknown names/types
         from .codegen import available_emitters  # deferred: avoids import cycle
@@ -191,9 +173,6 @@ class CompileOptions:
                 )
         if self.catalog is not None and not hasattr(self.catalog, "match"):
             raise TypeError(f"catalog {self.catalog!r} has no match() method")
-        from .core.parallel import parse_parallelism  # deferred: import cycle
-
-        parse_parallelism(self.parallelism)  # raises on bad policies
 
     # -------------------------------------------------------------- deriving
     def replace(self, **changes) -> "CompileOptions":
@@ -236,7 +215,6 @@ class CompileOptions:
         live metric instance is reduced to its :attr:`metric_name`.
         """
         payload: Dict[str, object] = {
-            "solver": self.solver,
             "metric": self.metric_name,
             "emit": list(self.emit),
             "prune": self.prune,
@@ -247,8 +225,6 @@ class CompileOptions:
             payload["deadline_s"] = self.deadline_s
         if self.cost_cache_size is not None:
             payload["cost_cache_size"] = self.cost_cache_size
-        if self.parallelism != "serial":
-            payload["parallelism"] = self.parallelism
         if self.trace:
             payload["trace"] = True
         if self.profile:
@@ -274,7 +250,6 @@ class CompileOptions:
         deadline = payload.get("deadline_s")
         cache_size = payload.get("cost_cache_size")
         return cls(
-            solver=payload.get("solver", "gmc"),
             metric=payload.get("metric", "flops"),
             emit=tuple(payload.get("emit", ())),
             prune=wire_bool("prune"),
@@ -282,7 +257,6 @@ class CompileOptions:
             plan_cache=wire_bool("plan_cache"),
             deadline_s=None if deadline is None else float(deadline),
             cost_cache_size=None if cache_size is None else int(cache_size),
-            parallelism=payload.get("parallelism", "serial"),
             trace=wire_bool("trace", default=False),
             profile=wire_bool("profile", default=False),
         )

@@ -10,10 +10,10 @@ cell, the wildcard bindings of every kernel call) is a function of the
 chain's name-abstracted :meth:`~repro.algebra.expression.Expression.signature`
 and the pipeline options, never of the operand names.
 
-:class:`PlanCache` therefore sits *above* the solvers: a
+:class:`PlanCache` therefore sits *above* the solver: a
 :class:`~repro.frontend.compiler.Compiler` session consults it before
-dispatching to :mod:`repro.core.gmc` / :mod:`repro.core.topdown`, and on a
-hit the whole DP is skipped.  The cached :class:`PlanRecipe` stores, per
+dispatching to :mod:`repro.core.gmc`, and on a hit the whole DP is
+skipped.  The cached :class:`PlanRecipe` stores, per
 kernel call of the optimal solution, the DP cell ``(i, j)``, the split
 ``k``, the kernel id and -- exactly as the match cache does -- the *preorder
 position* of every wildcard binding inside the call's subject, so the plan
@@ -22,7 +22,7 @@ same preorder position of a signature-equal subject is the corresponding
 operand, and it satisfies the same kernel constraints by construction.
 
 Keys pair the normalized chain's signature with an **options fingerprint**
-(solver, metric name, pruning, match-cache policy): two requests only share
+(metric name, pruning, match-cache policy): two requests only share
 a plan when the whole pipeline configuration matches.  Recipes are plain
 data (ints, strings), which is what makes the cache snapshottable to disk
 (:mod:`repro.persist.snapshot`).
@@ -87,22 +87,16 @@ __all__ = ["PlanRecipe", "CachedPlanSolution", "PlanCache", "plan_fingerprint"]
 PlanStep = Tuple[int, int, int, str, Tuple[Tuple[str, int], ...]]
 
 
-def plan_fingerprint(options: CompileOptions) -> Tuple[str, str, bool, bool]:
+def plan_fingerprint(options: CompileOptions) -> Tuple[str, bool, bool]:
     """The options fingerprint a plan is keyed under.
 
     Everything that changes which plan is optimal -- or how it is found --
-    participates: the solver (the two DP orders provably agree on cost, but
-    may tie-break differently), the metric *name*, pruning and the
-    match-cache policy.  ``deadline_s`` is deliberately absent: a *complete*
-    solution is the optimum regardless of the budget it was found under, and
-    incomplete solutions are never stored.  ``parallelism`` is likewise
-    absent: the parallel tier is asserted bit-identical to the serial
-    reference (see :mod:`repro.core.parallel`), so a plan solved under any
-    backend serves every other -- a serial solve warms the cache for
-    ``threads:N`` sessions and vice versa.
+    participates: the metric *name*, pruning and the match-cache policy.
+    ``deadline_s`` is deliberately absent: a *complete* solution is the
+    optimum regardless of the budget it was found under, and incomplete
+    solutions are never stored.
     """
     return (
-        options.solver,
         options.metric_name,
         bool(options.prune),
         bool(options.match_cache),
@@ -151,9 +145,9 @@ class CachedPlanSolution:
     Duck-types the solution interface the compiler front-end consumes
     (:meth:`program`, :meth:`kernel_calls`, :meth:`parenthesization`,
     :attr:`optimal_cost`, :attr:`computable`, ...), so a cached plan is a
-    drop-in replacement for a :class:`~repro.core.gmc.GMCSolution` /
-    :class:`~repro.core.topdown.TopDownSolution` everywhere downstream of
-    the solver: code emission, the service response path and telemetry.
+    drop-in replacement for a :class:`~repro.core.gmc.GMCSolution`
+    everywhere downstream of the solver: code emission, the service
+    response path and telemetry.
 
     The re-binding replays the recipe against the new factors: temporaries
     are re-materialized per cell (their properties re-inferred from the new
@@ -292,7 +286,7 @@ class CachedPlanSolution:
 
 
 #: Internal cache key: (chain signature, options fingerprint).
-_PlanKey = Tuple[Tuple, Tuple[str, str, bool, bool]]
+_PlanKey = Tuple[Tuple, Tuple[str, bool, bool]]
 
 
 class PlanCache:
@@ -484,20 +478,13 @@ class PlanCache:
     def _recipe_from(self, solution) -> Optional[PlanRecipe]:
         """Extract the re-bindable recipe from a solver solution."""
         length = solution.length
-        table = getattr(solution, "table", None)
-
-        def cell(i: int, j: int):
-            if table is not None:  # top-down solver
-                return table.get((i, j))
-            return solution.choices[i][j]
-
         steps: List[PlanStep] = []
 
         def visit(i: int, j: int) -> bool:
             if i == j:
                 return True
-            choice = cell(i, j)
-            if choice is None or choice.kernel is None:
+            choice = solution.choices[i][j]
+            if choice is None:
                 return False
             if choice.kernel.id not in self._catalog:
                 return False

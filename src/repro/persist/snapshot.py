@@ -13,7 +13,7 @@ One JSON object::
 
     {
       "format":  "repro-cache-snapshot",
-      "version": 1,
+      "version": 2,
       "catalog": {"name": ..., "kernels": <digest>,
                   "net_version": N, "registry_version": M},
       "plan_entries":  [{"signature": [...], "fingerprint": [...],
@@ -66,7 +66,10 @@ __all__ = [
 ]
 
 SNAPSHOT_FORMAT = "repro-cache-snapshot"
-SNAPSHOT_VERSION = 1
+#: Bumped whenever an entry written by the previous version could never hit
+#: (it would still occupy an LRU slot): version 2 dropped the solver name
+#: from the plan fingerprint, which is now ``[metric, prune, match_cache]``.
+SNAPSHOT_VERSION = 2
 #: File name used inside a ``--snapshot-dir`` directory.
 SNAPSHOT_FILENAME = "repro-cache-snapshot.json"
 

@@ -8,7 +8,7 @@ speak the same two dataclasses:
   source text (the Fig. 1/2 grammar of :mod:`repro.algebra.dsl`) or as a
   structured operand/assignment spec, plus one
   :class:`~repro.options.CompileOptions` value naming the pipeline options
-  (solver, metric, emit targets, pruning, match-cache policy, deadline
+  (metric, emit targets, pruning, match-cache policy, deadline
   budget, cache sizing);
 * :class:`CompileResponse` -- the per-assignment kernel sequences,
   parenthesizations, costs, optional generated code, and timing.
@@ -18,7 +18,7 @@ which is also the wire format between the pool parent and its worker
 processes -- workers never unpickle custom classes, so the pool works under
 every multiprocessing start method.  On the wire the options travel as a
 nested ``"options"`` object (:meth:`CompileOptions.to_wire`); the pre-PR 4
-flat fields (``metric``/``solver``/``emit``/``prune``/``use_match_cache``
+flat fields (``metric``/``emit``/``prune``/``use_match_cache``
 at the top level) are still accepted with a :class:`DeprecationWarning`.
 
 :func:`execute_request` is the single execution path shared by every
@@ -56,7 +56,7 @@ _WIRE_KEYS = {"source", "operands", "assignments", "options", "request_id"}
 
 #: Pre-PR 4 flat option keys, still accepted (deprecated) on the wire and
 #: as constructor keywords.
-_LEGACY_OPTION_KEYS = ("metric", "solver", "emit", "prune", "use_match_cache")
+_LEGACY_OPTION_KEYS = ("metric", "emit", "prune", "use_match_cache")
 
 
 class RequestError(ValueError):
@@ -88,7 +88,7 @@ class CompileRequest:
 
     Pipeline options live in ``options`` (a
     :class:`~repro.options.CompileOptions`); the pre-PR 4 loose keywords
-    (``metric=``, ``solver=``, ``emit=``, ``prune=``, ``use_match_cache=``)
+    (``metric=``, ``emit=``, ``prune=``, ``use_match_cache=``)
     are accepted as a deprecated shim.
     """
 
@@ -99,15 +99,13 @@ class CompileRequest:
     request_id: str = field(default_factory=lambda: uuid.uuid4().hex)
     # Deprecated loose keywords (PR 3 call-shape); folded into ``options``.
     metric: InitVar[object] = _SENTINEL
-    solver: InitVar[object] = _SENTINEL
     emit: InitVar[object] = _SENTINEL
     prune: InitVar[object] = _SENTINEL
     use_match_cache: InitVar[object] = _SENTINEL
 
-    def __post_init__(self, metric, solver, emit, prune, use_match_cache) -> None:
+    def __post_init__(self, metric, emit, prune, use_match_cache) -> None:
         legacy = {
             "metric": metric,
-            "solver": solver,
             "emit": emit,
             "prune": prune,
             "match_cache": use_match_cache,
@@ -115,7 +113,7 @@ class CompileRequest:
         legacy = {key: value for key, value in legacy.items() if value is not _SENTINEL}
         if legacy:
             warn_legacy(
-                "CompileRequest(metric=..., solver=..., emit=..., prune=..., "
+                "CompileRequest(metric=..., emit=..., prune=..., "
                 "use_match_cache=...)",
                 "CompileRequest(options=CompileOptions(...))",
                 stacklevel=4,
@@ -196,12 +194,11 @@ class CompileRequest:
             if legacy_present:
                 warn_legacy_wire(
                     "flat CompileRequest wire fields "
-                    "(metric/solver/emit/prune/use_match_cache)",
+                    "(metric/emit/prune/use_match_cache)",
                     "a nested 'options' object (CompileOptions.to_wire())",
                 )
                 options = CompileOptions(
                     metric=payload.get("metric", "flops"),
-                    solver=payload.get("solver", "gmc"),
                     emit=tuple(payload.get("emit", ())),
                     prune=bool(payload.get("prune", True)),
                     match_cache=bool(payload.get("use_match_cache", True)),

@@ -6,7 +6,7 @@ Endpoints (all JSON):
     body: one :class:`repro.service.api.CompileRequest` dict -- the problem
     (``source`` or ``operands``+``assignments``) plus a nested ``options``
     object (:meth:`repro.options.CompileOptions.to_wire`; the pre-PR 4 flat
-    ``metric``/``solver``/... fields are still accepted with a
+    ``metric``/``emit``/... fields are still accepted with a
     ``DeprecationWarning``).  200 with a
     :class:`~repro.service.api.CompileResponse` dict on success; 400 when
     the request is malformed or the compilation fails (the body still
@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import json
 import math
+import signal
 import threading
 import time
 import uuid
@@ -464,13 +465,25 @@ def start_server(
     return server, thread
 
 
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
+
+
 def run_server(
     executor, host: str = "127.0.0.1", port: int = 8077
 ) -> int:
-    """Serve until interrupted (the blocking CLI path)."""
+    """Serve until SIGINT or SIGTERM (the blocking CLI path).
+
+    Both signals take the same exit: the server closes and
+    ``executor.close()`` shuts the pool workers down, so a supervisor's
+    ``terminate()`` leaves no orphaned worker process behind.
+    """
     server = ServiceHTTPServer((host, port), executor)
     bound_host, bound_port = server.server_address[:2]
     mode = "in-process" if executor.workers == 0 else f"{executor.workers} workers"
+    previous = None
+    if threading.current_thread() is threading.main_thread():
+        previous = signal.signal(signal.SIGTERM, _interrupt)
     print(
         f"repro compilation service listening on http://{bound_host}:{bound_port} "
         f"({mode})",
@@ -483,4 +496,6 @@ def run_server(
     finally:
         server.server_close()
         executor.close()
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
     return 0

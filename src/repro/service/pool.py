@@ -61,7 +61,6 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from ..core.parallel import set_worker_parallelism_cap
 from ..frontend.compiler import Compiler
 from ..obs.logging import get_logger
 from ..kernels.catalog import KernelCatalog
@@ -131,8 +130,8 @@ class InProcessExecutor:
     """Synchronous executor running compilations in the calling process.
 
     Thread-safe: concurrent ``submit`` calls (e.g. from the threading HTTP
-    server) are serialized around the shared caches -- real parallelism is
-    the worker pool's job; this executor's job is determinism and zero
+    server) are serialized around the shared caches -- concurrent solving
+    is the worker pool's job; this executor's job is determinism and zero
     process overhead for tests and small deployments.
     """
 
@@ -307,9 +306,7 @@ class InProcessExecutor:
 # Worker process main loop.
 # ---------------------------------------------------------------------------
 
-def _worker_main(
-    worker_id: int, inbox, outbox, snapshot_file=None, parallelism_cap=None
-) -> None:
+def _worker_main(worker_id: int, inbox, outbox, snapshot_file=None) -> None:
     """Serve requests until shutdown; every cache stays warm in between.
 
     Each worker holds one :class:`~repro.frontend.compiler.Compiler`
@@ -317,17 +314,11 @@ def _worker_main(
     with them every cache layer that makes repeated structurally similar
     requests cheap.  With a *snapshot_file*, the worker boots warm by
     loading the plan-cache/match-cache snapshot into the fresh session
-    (stale/corrupt snapshots boot cold, reported via ``stats``).
-    *parallelism_cap* bounds the worker's intra-solve thread count
-    (:func:`repro.core.parallel.set_worker_parallelism_cap`): the pool
-    hands each of its ``W`` workers a ``max(1, cores // W)`` share so that
-    per-request ``parallelism`` policies never oversubscribe the machine
-    by a factor of ``W``.  Messages are ``(kind, token, payload)`` tuples;
-    every message except ``shutdown``/``crash`` is answered with
-    ``(token, payload)`` on *outbox*.
+    (stale/corrupt snapshots boot cold, reported via ``stats``).  Messages
+    are ``(kind, token, payload)`` tuples; every message except
+    ``shutdown``/``crash`` is answered with ``(token, payload)`` on
+    *outbox*.
     """
-    if parallelism_cap is not None:
-        set_worker_parallelism_cap(parallelism_cap)
     compiler = Compiler()
     snapshot_load = None
     if snapshot_file is not None:
@@ -430,10 +421,6 @@ class WorkerPool:
         max_inflight_per_worker: int = DEFAULT_MAX_INFLIGHT,
     ) -> None:
         count = workers if workers and workers > 0 else min(4, os.cpu_count() or 1)
-        #: Fair intra-solve thread share per worker: W processes x N solve
-        #: threads must not oversubscribe the machine, so each worker's
-        #: ``auto``/``threads:N`` policies are capped at cores // W.
-        self.worker_parallelism_cap = max(1, (os.cpu_count() or 1) // count)
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
@@ -482,13 +469,7 @@ class WorkerPool:
         )
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(
-                index,
-                self._inboxes[index],
-                self._outbox,
-                snapshot_file,
-                self.worker_parallelism_cap,
-            ),
+            args=(index, self._inboxes[index], self._outbox, snapshot_file),
             name=f"repro-service-worker-{index}",
             daemon=True,
         )

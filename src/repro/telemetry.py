@@ -20,9 +20,9 @@ each of which exposes the uniform ``stats()`` / ``reset_stats()`` protocol
 * the **kernel-cost LRU** (:meth:`repro.cost.metrics.CostMetric.stats`) --
   memoized per-kernel cost evaluations, one memo per live metric instance;
 * the **solver work counters**
-  (:class:`repro.core.parallel.SolverWorkTelemetry`) -- DP cells
-  evaluated, split candidates pruned and anti-diagonals entered, summed
-  over every solve the process ran (serial or parallel);
+  (:class:`repro.core.gmc.SolverWorkTelemetry`) -- DP cells
+  evaluated, split candidates pruned, anti-diagonals entered and
+  decision-memo hits/misses, summed over every solve the process ran;
 * the **segment counters**
   (:class:`repro.core.segments.SegmentTelemetry`) -- DAG programs
   decomposed, chain segments produced, synthetic segments, CSE reuses and
@@ -56,7 +56,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from .algebra.inference import inference_engine
 from .algebra.interning import default_interner
-from .core.parallel import solver_work_telemetry
+from .core.gmc import solver_work_telemetry
 from .core.segments import segment_telemetry
 from .cost.metrics import CostMetric
 from .kernels.catalog import KernelCatalog, default_catalog

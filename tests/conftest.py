@@ -9,14 +9,6 @@ from repro.algebra import Matrix, Property, Vector
 from repro.kernels import default_catalog
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "parallel: intra-solve parallelism suite (serial/parallel identity, "
-        "deadline truncation, CLI and telemetry wiring); runs in tier-1 CI.",
-    )
-
-
 @pytest.fixture
 def catalog():
     """The default kernel catalog (cached at module level by the library)."""

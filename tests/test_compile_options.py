@@ -16,7 +16,7 @@ import pytest
 from repro import CompileOptions, Compiler, Matrix, Property
 from repro.algebra.dsl import parse_program
 from repro.codegen import available_emitters, get_emitter, register_emitter, _EMITTERS
-from repro.core import GMCAlgorithm, TopDownGMC, make_solver
+from repro.core import GMCAlgorithm
 from repro.cost import FlopCount
 from repro.frontend import compile_source, main
 from repro.frontend.compiler import CompilationResult, CompiledAssignment
@@ -41,7 +41,6 @@ z := A^-1 * B * y
 class TestCompileOptions:
     def test_defaults(self):
         options = CompileOptions()
-        assert options.solver == "gmc"
         assert options.metric == "flops"
         assert options.prune and options.match_cache
         assert options.emit == ()
@@ -49,20 +48,27 @@ class TestCompileOptions:
 
     def test_is_frozen(self):
         with pytest.raises(AttributeError):
-            CompileOptions().solver = "topdown"
+            CompileOptions().prune = False
 
     def test_replace_returns_new_validated_value(self):
         options = CompileOptions()
-        derived = options.replace(solver="topdown", prune=False)
-        assert derived.solver == "topdown" and not derived.prune
-        assert options.solver == "gmc"  # original untouched
+        derived = options.replace(metric="time", prune=False)
+        assert derived.metric == "time" and not derived.prune
+        assert options.metric == "flops" and options.prune  # original untouched
         with pytest.raises(ValueError):
-            options.replace(solver="nonsense")
+            options.replace(metric="nonsense")
+
+    @pytest.mark.parametrize("field", ["solver", "parallelism"])
+    def test_removed_fields_are_rejected(self, field):
+        """There is one DP loop: no solver choice, no intra-solve threads."""
+        with pytest.raises(TypeError):
+            CompileOptions(**{field: "gmc"})
+        with pytest.raises(ValueError, match="unknown option fields"):
+            CompileOptions.from_wire({field: "gmc"})
 
     @pytest.mark.parametrize(
         "bad",
         [
-            {"solver": "nonsense"},
             {"metric": "nonsense"},
             {"emit": ("fortran",)},
             {"deadline_s": 0.0},
@@ -88,7 +94,6 @@ class TestCompileOptions:
 
     def test_wire_roundtrip(self):
         options = CompileOptions(
-            solver="topdown",
             metric="time",
             emit=("julia", "numpy"),
             prune=False,
@@ -177,7 +182,7 @@ class TestCompilerSession:
     def test_compiles_source_text(self):
         result = Compiler().compile(SOURCE)
         assert result.assignment("X").kernel_sequence == ["TRMM", "POSV"]
-        assert result.options is not None and result.options.solver == "gmc"
+        assert result.options is not None and result.options.metric_name == "flops"
 
     def test_compiles_parsed_programs_and_expressions(self):
         compiler = Compiler()
@@ -224,10 +229,9 @@ class TestCompilerSession:
     def test_solver_honours_options(self):
         compiler = Compiler()
         assert isinstance(compiler.solver(), GMCAlgorithm)
-        assert isinstance(compiler.solver(solver="topdown"), TopDownGMC)
         assert compiler.solver(prune=False).prune is False
         # Session catalog always wins: per-call options share the warm caches.
-        assert compiler.solver(solver="topdown").catalog is compiler.catalog
+        assert compiler.solver(prune=False).catalog is compiler.catalog
 
     def test_per_call_catalog_override_is_rejected(self):
         """A session is bound to one catalog (one warm cache domain); asking
@@ -383,15 +387,15 @@ class TestCompilationResultIndex:
 
 OPTION_MATRIX = [
     CompileOptions(),
-    CompileOptions(solver="topdown"),
+    CompileOptions(prune=False),
+    CompileOptions(match_cache=False),
     CompileOptions(prune=False, match_cache=False),
-    CompileOptions(solver="topdown", prune=False, match_cache=False),
 ]
 
 
 def _cli_kernel_sequences(options: CompileOptions, path, capsys):
     """Kernel sequences as reported by the real CLI with equivalent flags."""
-    argv = [str(path), "--metric", options.metric_name, "--solver", options.solver]
+    argv = [str(path), "--metric", options.metric_name]
     if not options.prune:
         argv.append("--no-prune")
     if not options.match_cache:
@@ -405,7 +409,7 @@ def _cli_kernel_sequences(options: CompileOptions, path, capsys):
     return sequences
 
 
-@pytest.mark.parametrize("options", OPTION_MATRIX, ids=lambda o: f"{o.solver}-p{int(o.prune)}-mc{int(o.match_cache)}")
+@pytest.mark.parametrize("options", OPTION_MATRIX, ids=lambda o: f"p{int(o.prune)}-mc{int(o.match_cache)}")
 def test_all_entry_points_agree(options, tmp_path, capsys):
     """Python API, CLI, service execution path and raw solver sessions build
     the same CompileOptions and produce identical kernel sequences."""
@@ -424,7 +428,7 @@ def test_all_entry_points_agree(options, tmp_path, capsys):
     service_sequences = [list(r.kernels) for r in response.assignments]
 
     # 4. Raw solver session on the parsed program (the benchmark-script path).
-    solver = make_solver(options)
+    solver = GMCAlgorithm(options)
     bench_sequences = [
         list(solver.solve(expression).program(f"GMC[{t}]").kernel_names)
         for t, expression in parse_program(SOURCE).assignments
@@ -432,7 +436,8 @@ def test_all_entry_points_agree(options, tmp_path, capsys):
 
     assert api_sequences == cli_sequences == service_sequences == bench_sequences
     # The options value survives into the result for introspection.
-    assert api_result.options.solver == options.solver
+    assert api_result.options.prune == options.prune
+    assert api_result.options.match_cache == options.match_cache
 
 
 def test_entry_points_agree_on_alternative_metric(tmp_path, capsys):
@@ -451,7 +456,7 @@ def test_wire_roundtripped_options_produce_identical_results():
     """Options surviving a JSON wire roundtrip compile identically."""
     import json
 
-    options = CompileOptions(solver="topdown", prune=False)
+    options = CompileOptions(metric="time", prune=False)
     request = CompileRequest(source=SOURCE, options=options)
     clone = CompileRequest.from_dict(json.loads(json.dumps(request.to_dict())))
     assert clone.options == options
@@ -464,4 +469,3 @@ def test_deadline_placeholder_is_threaded_to_solvers():
     options = CompileOptions(deadline_s=1.5)
     assert Compiler(options).solver().deadline_s == 1.5
     assert GMCAlgorithm(options).deadline_s == 1.5
-    assert TopDownGMC(options.replace(solver="topdown")).deadline_s == 1.5

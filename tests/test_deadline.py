@@ -1,6 +1,7 @@
 """Tests for per-request deadline enforcement (``CompileOptions.deadline_s``).
 
-The DP loops of both solvers check the deadline at cell boundaries: an
+The GMC loop checks the deadline at cell boundaries, in both the pruned
+and the exhaustive (``prune=False``) arm: an
 expired budget returns the best-so-far solution marked ``complete=False``
 instead of either ignoring the budget (the pre-enforcement placeholder
 behavior) or raising.  The marker travels through the service wire as
@@ -10,12 +11,10 @@ behavior) or raising.  The marker travels through the service wire as
 import pytest
 
 from repro.core import GMCAlgorithm
-from repro.core.topdown import TopDownGMC
 from repro.experiments.workload import ChainGenerator
 from repro.options import CompileOptions
 from repro.service.api import AssignmentResult, CompileRequest, execute_request
 
-SOLVERS = [GMCAlgorithm, TopDownGMC]
 
 
 def long_chain(seed=3, length=12):
@@ -32,43 +31,44 @@ def long_chain(seed=3, length=12):
     return generator.generate_many(1)[0].expression
 
 
-@pytest.mark.parametrize("solver_cls", SOLVERS)
+@pytest.mark.parametrize("prune", [True, False])
 class TestDeadlineEnforcement:
-    def test_expired_deadline_returns_best_so_far(self, solver_cls):
-        solver = solver_cls(CompileOptions(deadline_s=1e-9))
+    def test_expired_deadline_returns_best_so_far(self, prune):
+        solver = GMCAlgorithm(CompileOptions(prune=prune, deadline_s=1e-9))
         solution = solver.solve(long_chain())
         assert solution.complete is False  # budget expired mid-solve
 
-    def test_expired_uncomputable_solve_blames_the_deadline(self, solver_cls):
+    def test_expired_uncomputable_solve_blames_the_deadline(self, prune):
         from repro.core import UncomputableChainError
 
-        solver = solver_cls(CompileOptions(deadline_s=1e-9))
+        solver = GMCAlgorithm(CompileOptions(prune=prune, deadline_s=1e-9))
         solution = solver.solve(long_chain())
         if solution.computable:  # pragma: no cover -- machine-speed dependent
             pytest.skip("solve finished a computable prefix within the budget")
         with pytest.raises(UncomputableChainError, match="deadline expired"):
             solution.program()
 
-    def test_execute_request_error_names_the_deadline(self, solver_cls):
+    def test_execute_request_error_names_the_deadline(self, prune):
         from repro.service.api import CompileRequest, execute_request
 
-        solver_name = "gmc" if solver_cls.__name__ == "GMCAlgorithm" else "topdown"
         request = CompileRequest(
             source=(
                 "Matrix A (50, 50) <>\nMatrix B (50, 50) <>\n"
                 "Matrix C (50, 50) <>\nMatrix D (50, 50) <>\n"
                 "X := A * B * C * D\n"
             ),
-            options=CompileOptions(solver=solver_name, deadline_s=1e-9),
+            options=CompileOptions(prune=prune, deadline_s=1e-9),
         )
         response = execute_request(request)
         assert response.ok is False
         assert "deadline expired" in response.error
 
-    def test_roomy_deadline_is_complete_and_optimal(self, solver_cls):
+    def test_roomy_deadline_is_complete_and_optimal(self, prune):
         expression = long_chain(seed=5, length=8)
-        with_budget = solver_cls(CompileOptions(deadline_s=300.0)).solve(expression)
-        reference = solver_cls(CompileOptions()).solve(expression)
+        with_budget = GMCAlgorithm(
+            CompileOptions(prune=prune, deadline_s=300.0)
+        ).solve(expression)
+        reference = GMCAlgorithm(CompileOptions(prune=prune)).solve(expression)
         assert with_budget.complete is True
         assert with_budget.computable == reference.computable
         if reference.computable:
@@ -77,8 +77,10 @@ class TestDeadlineEnforcement:
                 float(reference.optimal_cost)
             )
 
-    def test_no_deadline_is_always_complete(self, solver_cls):
-        solution = solver_cls(CompileOptions()).solve(long_chain(seed=9, length=6))
+    def test_no_deadline_is_always_complete(self, prune):
+        solution = GMCAlgorithm(CompileOptions(prune=prune)).solve(
+            long_chain(seed=9, length=6)
+        )
         assert solution.complete is True
 
 

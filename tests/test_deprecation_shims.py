@@ -14,7 +14,7 @@ import warnings
 import pytest
 
 from repro import CompileOptions, Compiler, compile_source
-from repro.core import GMCAlgorithm, TopDownGMC
+from repro.core import GMCAlgorithm
 from repro.cost import FlopCount
 from repro.frontend.compiler import compile_program
 from repro.algebra.dsl import parse_program
@@ -83,7 +83,7 @@ class TestCompileSourceShim:
 
     def test_options_keyword_is_not_deprecated(self):
         result = no_deprecation(
-            lambda: compile_source(SOURCE, options=CompileOptions(solver="topdown"))
+            lambda: compile_source(SOURCE, options=CompileOptions(prune=False))
         )
         assert result.assignment("X").kernel_sequence == ["TRMM", "POSV"]
 
@@ -98,31 +98,28 @@ class TestCompileSourceShim:
 
 
 class TestSolverShims:
-    @pytest.mark.parametrize("solver_cls", [GMCAlgorithm, TopDownGMC])
-    def test_loose_kwargs_warn_once_and_match(self, solver_cls):
+    def test_loose_kwargs_warn_once_and_match(self):
         legacy = one_deprecation(
-            lambda: solver_cls(metric=FlopCount(), prune=False).solve(CHAIN)
+            lambda: GMCAlgorithm(metric=FlopCount(), prune=False).solve(CHAIN)
         )
         canonical = no_deprecation(
-            lambda: solver_cls(
+            lambda: GMCAlgorithm(
                 CompileOptions(metric=FlopCount(), prune=False)
             ).solve(CHAIN)
         )
         assert legacy.kernel_sequence() == canonical.kernel_sequence()
         assert float(legacy.optimal_cost) == float(canonical.optimal_cost)
 
-    @pytest.mark.parametrize("solver_cls", [GMCAlgorithm, TopDownGMC])
-    def test_catalog_keyword_warns_once(self, solver_cls):
-        solver = one_deprecation(lambda: solver_cls(catalog=default_catalog()))
+    def test_catalog_keyword_warns_once(self):
+        solver = one_deprecation(lambda: GMCAlgorithm(catalog=default_catalog()))
         assert solver.catalog is default_catalog()
 
     def test_positional_catalog_warns_once(self):
         solver = one_deprecation(lambda: GMCAlgorithm(default_catalog()))
         assert solver.catalog is default_catalog()
 
-    @pytest.mark.parametrize("solver_cls", [GMCAlgorithm, TopDownGMC])
-    def test_bare_constructor_is_not_deprecated(self, solver_cls):
-        no_deprecation(solver_cls)
+    def test_bare_constructor_is_not_deprecated(self):
+        no_deprecation(GMCAlgorithm)
 
     def test_mixing_options_and_legacy_kwargs_raises(self):
         with pytest.raises(TypeError):
@@ -133,7 +130,6 @@ class TestCompileRequestShims:
     LEGACY_WIRE = {
         "source": SOURCE,
         "metric": "flops",
-        "solver": "topdown",
         "emit": ["julia"],
         "prune": False,
         "use_match_cache": False,
@@ -145,7 +141,6 @@ class TestCompileRequestShims:
             lambda: CompileRequest(
                 source=SOURCE,
                 metric="flops",
-                solver="topdown",
                 emit=("julia",),
                 prune=False,
                 use_match_cache=False,
@@ -153,7 +148,6 @@ class TestCompileRequestShims:
         )
         assert request.options == CompileOptions(
             metric="flops",
-            solver="topdown",
             emit=("julia",),
             prune=False,
             match_cache=False,
@@ -168,7 +162,6 @@ class TestCompileRequestShims:
             "request_id": "new-wire-dict",
             "options": {
                 "metric": "flops",
-                "solver": "topdown",
                 "emit": ["julia"],
                 "prune": False,
                 "match_cache": False,
@@ -205,13 +198,13 @@ class TestCompileRequestShims:
     def test_flat_and_nested_options_cannot_be_mixed(self):
         with pytest.raises(RequestError):
             CompileRequest.from_dict(
-                {"source": SOURCE, "metric": "flops", "options": {"solver": "gmc"}}
+                {"source": SOURCE, "metric": "flops", "options": {"prune": True}}
             )
 
     def test_new_format_requests_do_not_warn(self):
         no_deprecation(
             lambda: CompileRequest.from_dict(
-                {"source": SOURCE, "options": {"solver": "gmc"}}
+                {"source": SOURCE, "options": {"metric": "flops"}}
             )
         )
         no_deprecation(lambda: CompileRequest.from_dict({"source": SOURCE}))

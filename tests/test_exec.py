@@ -275,14 +275,14 @@ class TestRunExecuteRequest:
         assert response.ok and response.module_cache_hit
         assert response.timing["emit_s"] == 0.0
 
-    @pytest.mark.parametrize("solver", ["gmc", "topdown"])
+    @pytest.mark.parametrize("prune", [True, False])
     @pytest.mark.parametrize("metric", ["flops", "time"])
     @pytest.mark.parametrize("source", [CHAIN_SOURCE, DAG_SOURCE])
-    def test_module_matches_interpreter_across_matrix(self, solver, metric, source):
+    def test_module_matches_interpreter_across_matrix(self, prune, metric, source):
         request = ExecuteRequest.from_dict(
             {
                 "source": source,
-                "options": {"solver": solver, "metric": metric},
+                "options": {"prune": prune, "metric": metric},
                 "execute": {"engine": "both", "seed": 2},
             }
         )

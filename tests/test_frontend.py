@@ -150,9 +150,17 @@ class TestCommandLineSolverFlags:
         assert status == 0
         return buffer.getvalue()
 
-    def test_topdown_solver_is_selectable(self, tmp_path):
-        report = self._report("--solver", "topdown", tmp_path=tmp_path)
-        assert "TRMM -> POSV" in report
+    @pytest.mark.parametrize(
+        "flag, value", [("--solver", "topdown"), ("--parallel", "threads:2")]
+    )
+    def test_removed_solver_flags_are_usage_errors(self, flag, value, capsys):
+        """One DP loop: there is no solver to pick and no thread policy."""
+        from repro.frontend import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([flag, value])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_no_prune_flag(self, tmp_path):
         default = self._report(tmp_path=tmp_path)
@@ -163,13 +171,11 @@ class TestCommandLineSolverFlags:
         ]
 
     def test_no_match_cache_flag(self, tmp_path):
-        report = self._report(
-            "--solver", "topdown", "--no-prune", "--no-match-cache", tmp_path=tmp_path
-        )
+        report = self._report("--no-prune", "--no-match-cache", tmp_path=tmp_path)
         assert "TRMM -> POSV" in report
 
     def test_emit_flag_uses_the_registry(self, tmp_path):
-        julia = self._report("--emit", "julia", "--solver", "topdown", tmp_path=tmp_path)
+        julia = self._report("--emit", "julia", "--no-prune", tmp_path=tmp_path)
         assert "function compute_X(" in julia
 
     def test_pipeline_flags_are_rejected_in_serve_mode(self, capsys):
@@ -178,9 +184,9 @@ class TestCommandLineSolverFlags:
         from repro.frontend import main
 
         with pytest.raises(SystemExit) as excinfo:
-            main(["--serve", "--solver", "topdown", "--no-prune", "--port", "0"])
+            main(["--serve", "--metric", "time", "--no-prune", "--port", "0"])
         assert excinfo.value.code == 2
-        assert "--solver" in capsys.readouterr().err
+        assert "--metric" in capsys.readouterr().err
 
     def test_cli_flags_match_service_options(self, tmp_path):
         """The flag combination and the equivalent CompileRequest produce the
@@ -189,9 +195,7 @@ class TestCommandLineSolverFlags:
         from repro.service.api import CompileRequest, execute_request
         from repro import CompileOptions
 
-        report = self._report(
-            "--solver", "topdown", "--no-prune", "--no-match-cache", tmp_path=tmp_path
-        )
+        report = self._report("--no-prune", "--no-match-cache", tmp_path=tmp_path)
         cli_kernels = [
             line.split(":", 1)[1].strip().split(" -> ")
             for line in report.splitlines()
@@ -200,9 +204,7 @@ class TestCommandLineSolverFlags:
         response = execute_request(
             CompileRequest(
                 source=SOURCE,
-                options=CompileOptions(
-                    solver="topdown", prune=False, match_cache=False
-                ),
+                options=CompileOptions(prune=False, match_cache=False),
             )
         )
         assert response.ok

@@ -393,3 +393,78 @@ class TestSplitPruning:
         )
         assert pruned.parenthesization() == exhaustive.parenthesization()
         assert pruned.kernel_sequence() == exhaustive.kernel_sequence()
+
+
+class TestWorkCounters:
+    """The loop's work counters, per solve and in the ``solver`` layer."""
+
+    PALETTE = (40, 60, 80, 100)
+
+    def _chain(self, seed, length):
+        import random
+
+        rng = random.Random(seed)
+        dims = [rng.choice(self.PALETTE) for _ in range(length + 1)]
+        return [Matrix(f"M{i}", dims[i], dims[i + 1]) for i in range(length)]
+
+    def _solve(self, chain, **options):
+        from repro.options import CompileOptions
+
+        return GMCAlgorithm(CompileOptions(plan_cache=False, **options)).solve(chain)
+
+    def test_counts_cells_and_diagonals(self):
+        n = 9
+        solution = self._solve(self._chain(seed=6, length=n))
+        assert solution.diagonals == n - 1
+        assert solution.cells_evaluated == n * (n - 1) // 2
+
+    def test_pruning_is_observable(self):
+        chain = self._chain(seed=8, length=12)
+        assert self._solve(chain, prune=True).cells_pruned > 0
+        assert self._solve(chain, prune=False).cells_pruned == 0
+
+    def test_solver_layer_in_telemetry_snapshot(self):
+        from repro import telemetry
+
+        before = telemetry.snapshot()["solver"]
+        solution = self._solve(self._chain(seed=9, length=6))
+        after = telemetry.snapshot()["solver"]
+        assert after["solves"] >= before["solves"] + 1
+        assert after["cells_evaluated"] >= before["cells_evaluated"] + solution.cells_evaluated
+        assert {"hits", "misses", "hit_rate"} <= set(after)
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_decision_memo_hits_surface_in_telemetry(self, prune):
+        from repro import telemetry
+
+        before = telemetry.snapshot()["solver"]
+        self._solve(self._chain(seed=10, length=12), prune=prune)
+        after = telemetry.snapshot()["solver"]
+        # Palette dims repeat, so the memo must have both missed (first
+        # sighting of each split signature) and hit (every repeat).
+        assert after["misses"] > before["misses"]
+        assert after["hits"] > before["hits"]
+
+    def test_match_cache_off_bypasses_the_decision_memo(self):
+        from repro import telemetry
+
+        before = telemetry.snapshot()["solver"]
+        self._solve(self._chain(seed=10, length=12), match_cache=False)
+        after = telemetry.snapshot()["solver"]
+        assert (after["hits"], after["misses"]) == (before["hits"], before["misses"])
+
+
+class TestDeadlineChecker:
+    def test_none_never_expires(self):
+        from repro.core.gmc import DeadlineChecker
+
+        checker = DeadlineChecker(None)
+        assert checker.deadline is None
+        assert not checker.expired()
+
+    def test_expiry_is_sticky(self):
+        from repro.core.gmc import DeadlineChecker
+
+        checker = DeadlineChecker(0.0)
+        assert checker.expired()
+        assert checker.expired()

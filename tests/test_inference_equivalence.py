@@ -27,7 +27,8 @@ from repro.algebra import (
     legacy_inference,
 )
 from repro.algebra.inference import PREDICATES, PropertyInference
-from repro.core import GMCAlgorithm, TopDownGMC
+from repro.core import GMCAlgorithm
+from repro.options import CompileOptions
 from repro.experiments.workload import ChainGenerator
 from test_property_based import generalized_chains
 
@@ -130,10 +131,11 @@ class TestSolverEquivalence:
 
     @given(generalized_chains())
     @_SETTINGS
-    def test_topdown_solution_identical_under_both_paths(self, expression):
-        fast = TopDownGMC().solve(expression)
+    def test_exhaustive_solution_identical_under_both_paths(self, expression):
+        exhaustive = CompileOptions(prune=False)
+        fast = GMCAlgorithm(exhaustive).solve(expression)
         with legacy_inference():
-            legacy = TopDownGMC().solve(expression)
+            legacy = GMCAlgorithm(exhaustive).solve(expression)
         assert fast.computable == legacy.computable
         if legacy.computable:
             assert fast.optimal_cost == pytest.approx(legacy.optimal_cost)

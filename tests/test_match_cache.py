@@ -13,13 +13,13 @@ import pytest
 from repro.algebra import Matrix, Property, Temporary, Times, Transpose, Vector
 from repro.algebra.inference import PREDICATES, is_lower_triangular
 from repro.core import GMCAlgorithm
-from repro.core.topdown import TopDownGMC
 from repro.experiments.workload import ChainGenerator
 from repro.kernels.catalog import KernelCatalog, build_default_kernels, default_catalog
 from repro.kernels.kernel import Kernel
 from repro.kernels.helpers import binary_pattern
 from repro.matching import MatchCache, Pattern, Wildcard, match_caching_disabled
 from repro.matching.patterns import Substitution
+from repro.options import CompileOptions
 
 
 def _fresh_catalog(**kwargs) -> KernelCatalog:
@@ -285,7 +285,10 @@ class TestEndToEndEquivalence:
     def test_bottom_up_solutions_identical(self, seed):
         catalog = _fresh_catalog()
         fast = GMCAlgorithm(catalog=catalog)
-        reference = GMCAlgorithm(catalog=catalog, prune=False)
+        # match_cache=False also bypasses the per-solve decision memo.
+        reference = GMCAlgorithm(
+            CompileOptions(catalog=catalog, prune=False, match_cache=False)
+        )
         for problem in _random_chains(8, seed=seed):
             got = fast.solve(problem.expression)
             # Solve twice so the second pass runs against a warm cache.
@@ -302,10 +305,14 @@ class TestEndToEndEquivalence:
                 assert got_warm.parenthesization() == want.parenthesization()
                 assert got.kernel_sequence() == want.kernel_sequence()
 
-    def test_top_down_solutions_identical(self):
+    def test_exhaustive_solutions_identical(self):
+        """The prune=False arm with every cache on vs the same arm with every
+        cache off."""
         catalog = _fresh_catalog()
-        fast = TopDownGMC(catalog=catalog)
-        reference = TopDownGMC(catalog=catalog, prune=False)
+        fast = GMCAlgorithm(CompileOptions(catalog=catalog, prune=False))
+        reference = GMCAlgorithm(
+            CompileOptions(catalog=catalog, prune=False, match_cache=False)
+        )
         for problem in _random_chains(8, seed=71):
             got = fast.solve(problem.expression)
             with match_caching_disabled():

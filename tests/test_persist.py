@@ -86,9 +86,9 @@ def random_problems(count, seed, length=7):
 # ---------------------------------------------------------------------------
 
 class TestPlanCacheIdentity:
-    @pytest.mark.parametrize("solver", ["gmc", "topdown"])
-    def test_renamed_chain_served_from_cache_identically(self, solver):
-        session = fresh_session(solver=solver)
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_renamed_chain_served_from_cache_identically(self, prune):
+        session = fresh_session(prune=prune)
         cold = session.compile(tagged("One")).assignment("X")
         assert session.plan_cache.stores == 1
         warm = session.compile(tagged("Two")).assignment("X")
@@ -141,7 +141,7 @@ class TestPlanCacheIdentity:
         session = fresh_session()
         session.compile(tagged("F"))
         assert len(session.plan_cache) == 1
-        session.compile(tagged("F"), solver="topdown")
+        session.compile(tagged("F"), match_cache=False)
         session.compile(tagged("F"), prune=False)
         session.compile(tagged("F"), metric="kernels")
         assert len(session.plan_cache) == 4
@@ -311,6 +311,42 @@ class TestSnapshotRobustness:
         # The cold boot still compiles correctly.
         cold = session.compile(tagged("Cold")).assignment("X")
         assert cold.kernel_sequence == reference
+
+    def test_version_1_snapshot_boots_cold_with_the_reason_logged(self, tmp_path):
+        """Version-1 files key plans under ``[solver, metric, prune,
+        match_cache]`` fingerprints that can never hit again; they are
+        rejected as an unknown version instead of filling LRU slots."""
+        import io
+        import logging
+
+        state, reference = self._populated_state()
+        for entry in state["plan_entries"]:
+            entry["fingerprint"] = ["gmc", *entry["fingerprint"]]
+        state["version"] = 1
+        write_snapshot(snapshot_path(tmp_path), state)  # valid checksum
+
+        session = fresh_session()
+        result = load_snapshot(snapshot_path(tmp_path), session.plan_cache, session.catalog)
+        assert result["loaded"] is False
+        assert "version 1" in result["reason"]
+        assert len(session.plan_cache) == 0
+
+        stream = io.StringIO()
+        handler = logging.StreamHandler(stream)
+        logger = logging.getLogger("repro.service.pool")
+        logger.addHandler(handler)
+        try:
+            executor = InProcessExecutor(snapshot_dir=tmp_path)
+        finally:
+            logger.removeHandler(handler)
+        try:
+            assert executor.snapshot_load["loaded"] is False
+            assert "booting cold" in stream.getvalue()
+            assert len(executor.compiler.plan_cache) == 0
+            response = executor.submit(CompileRequest(source=tagged("V1")))
+            assert response.ok and response.assignments[0].kernels == reference
+        finally:
+            executor.close()
 
     def test_catalog_drift_cold_boots(self, tmp_path):
         state, _ = self._populated_state()

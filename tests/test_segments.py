@@ -2,7 +2,7 @@
 
 Covers the identity matrix required by the DAG front end (auto-decomposed
 compiles must be kernel-for-kernel identical to hand-decomposed per-chain
-solves across solver x prune x parallelism), CSE reuse and invalidation,
+solves across prune x match cache), CSE reuse and invalidation,
 stitched-program execution, error reporting, sibling plan-cache
 amortization and the segment telemetry counters.
 """
@@ -125,15 +125,10 @@ class TestAutoVsHandIdentity:
     """The DAG identity matrix: auto-decomposed kernel sequences must equal
     hand-decomposed per-chain solves for every pipeline configuration."""
 
-    @pytest.mark.parametrize("solver", ["gmc", "topdown"])
     @pytest.mark.parametrize("prune", [True, False])
-    @pytest.mark.parametrize("parallelism", ["serial", "threads:2"])
-    def test_dag_compile_matches_hand_decomposition(
-        self, solver, prune, parallelism
-    ):
-        options = CompileOptions(
-            solver=solver, prune=prune, parallelism=parallelism
-        )
+    @pytest.mark.parametrize("match_cache", [True, False])
+    def test_dag_compile_matches_hand_decomposition(self, prune, match_cache):
+        options = CompileOptions(prune=prune, match_cache=match_cache)
         session = Compiler(options)
         result = session.compile(DAG_SOURCE)
 
@@ -152,7 +147,7 @@ class TestAutoVsHandIdentity:
         for compiled in result.assignments:
             key = "_synthetic" if compiled.synthetic else compiled.target
             assert compiled.kernel_sequence == hand[key], (
-                solver, prune, parallelism, compiled.target)
+                prune, match_cache, compiled.target)
 
     def test_plan_cached_recompile_is_identical(self):
         session = Compiler()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
+import signal
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -47,7 +49,6 @@ class TestApi:
         request = CompileRequest(
             source="Matrix A (4, 4) <>\nX := A * A\n",
             metric="flops",
-            solver="topdown",
             emit=("julia",),
             prune=False,
             use_match_cache=False,
@@ -385,6 +386,20 @@ class TestHTTP:
             _get(f"{http_service}/nope")
         assert excinfo.value.code == 404
 
+    @pytest.mark.parametrize("path", ["/compile", "/execute"])
+    @pytest.mark.parametrize(
+        "option", [{"solver": "topdown"}, {"parallelism": "threads:2"}]
+    )
+    def test_removed_option_fields_are_400(self, http_service, path, option):
+        """``solver`` and ``parallelism`` no longer exist: the options
+        decoder rejects them as a client error, never a 500."""
+        source = similar_sources(1, prefix="Removed")[0]
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(f"{http_service}{path}", {"source": source, "options": option})
+        with excinfo.value as error:
+            assert error.code == 400
+            assert "unknown option fields" in json.loads(error.read())["error"]
+
 
 # ---------------------------------------------------------------------------
 # CLI (--serve boots a working server)
@@ -433,3 +448,59 @@ class TestServeCLI:
         finally:
             process.terminate()
             process.wait(timeout=10)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self"), reason="needs /proc to see worker pids"
+    )
+    def test_sigterm_stops_server_and_every_worker(self):
+        """``terminate()`` takes the same exit as Ctrl-C: the server closes
+        and shuts its pool down, so no worker process outlives it."""
+        import re
+        import subprocess
+        import sys
+
+        process = subprocess.Popen(
+            [
+                sys.executable,
+                "-u",
+                "-m",
+                "repro.frontend",
+                "--serve",
+                "--workers",
+                "2",
+                "--port",
+                "0",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+        )
+        worker_pids = []
+        try:
+            banner = process.stdout.readline()
+            match = re.search(r"http://127\.0\.0\.1:(\d+)", banner)
+            assert match, f"no address in banner: {banner!r}"
+            _, stats = _get(f"http://127.0.0.1:{match.group(1)}/stats")
+            worker_pids = [entry["pid"] for entry in stats["per_worker"]]
+            assert len(worker_pids) == 2 and all(map(_alive, worker_pids))
+            process.terminate()
+            assert process.wait(timeout=30) == 0
+            assert [pid for pid in worker_pids if _alive(pid)] == []
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
+            for pid in worker_pids:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def _alive(pid):
+    """True while *pid* exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", "r", encoding="ascii") as handle:
+            # The state field follows the parenthesised command name.
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (OSError, IndexError):
+        return False
