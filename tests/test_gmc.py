@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.algebra import (
     Inverse,
@@ -23,6 +24,9 @@ from repro.core import (
 )
 from repro.cost import FlopCount, KernelCountMetric, PerformanceMetric
 from repro.kernels import default_catalog, mcp_catalog
+from repro.options import CompileOptions
+
+from test_property_based import generalized_chains
 
 
 class TestEquivalenceWithClassicDP:
@@ -395,6 +399,87 @@ class TestSplitPruning:
         assert pruned.kernel_sequence() == exhaustive.kernel_sequence()
 
 
+def exhaustive_solver(**options):
+    return GMCAlgorithm(CompileOptions(prune=False, **options))
+
+
+def _table2_chain():
+    a = Matrix("A", 50, 50, {Property.SPD})
+    b = Matrix("B", 50, 30)
+    c = Matrix("C", 30, 30, {Property.LOWER_TRIANGULAR, Property.NON_SINGULAR})
+    return Times(Inverse(a), b, Transpose(c))
+
+
+class TestExhaustiveArm:
+    """``prune=False`` is the reference arm of the one loop: every split in
+    ascending ``k``, no bound.  It must stand on its own as a solver."""
+
+    def test_same_solution_as_pruned_on_table2_chain(self):
+        chain = _table2_chain()
+        exhaustive = exhaustive_solver().solve(chain)
+        pruned = GMCAlgorithm(CompileOptions()).solve(chain)
+        assert exhaustive.optimal_cost == pytest.approx(pruned.optimal_cost)
+        assert exhaustive.kernel_sequence() == pruned.kernel_sequence()
+        assert exhaustive.parenthesization() == pruned.parenthesization()
+
+    def test_program_executes_correctly(self):
+        from repro.runtime import allclose, execute_program, instantiate_expression
+
+        chain = _table2_chain()
+        program = exhaustive_solver().solve(chain).program()
+        environment = instantiate_expression(chain, seed=3)
+        result = execute_program(program, environment)
+        assert allclose(chain, environment, result, rtol=1e-7, atol=1e-7)
+
+    def test_uncomputable_chain_detected(self):
+        a = Matrix("A", 10, 10, {Property.NON_SINGULAR})
+        b = Matrix("B", 10, 10, {Property.NON_SINGULAR})
+        catalog = default_catalog(include_combined_inverse=False)
+        solution = exhaustive_solver(catalog=catalog).solve(
+            Times(Inverse(a), Inverse(b))
+        )
+        assert not solution.computable
+        with pytest.raises(UncomputableChainError):
+            list(solution.construct_solution())
+
+    def test_partial_uncomputability_is_skipped(self):
+        a = Matrix("A", 10, 10, {Property.NON_SINGULAR})
+        b = Matrix("B", 10, 10, {Property.NON_SINGULAR})
+        c = Matrix("C", 10, 6)
+        catalog = default_catalog(include_combined_inverse=False)
+        solution = exhaustive_solver(catalog=catalog).solve(
+            Times(Inverse(a), Inverse(b), c)
+        )
+        assert solution.computable
+        assert solution.kernel_sequence() == ["GESV", "GESV"]
+
+    def test_metric_selection(self):
+        timed = exhaustive_solver(metric="time").solve(_table2_chain())
+        assert timed.computable
+        assert timed.optimal_cost > 0.0
+
+    def test_single_factor_chain(self):
+        solution = exhaustive_solver().solve([Matrix("A", 5, 5)])
+        assert solution.optimal_cost == 0.0
+        assert solution.program().calls == []
+
+    @given(generalized_chains())
+    @settings(
+        max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_pruned_equals_exhaustive_on_random_chains(self, expression):
+        """Unary operators and properties included (the plain-chain case is
+        ``TestSplitPruning``)."""
+        pruned = GMCAlgorithm(CompileOptions()).solve(expression)
+        exhaustive = exhaustive_solver().solve(expression)
+        assert pruned.computable == exhaustive.computable
+        assert pruned.optimal_cost == exhaustive.optimal_cost
+        assert pruned.splits == exhaustive.splits
+        if exhaustive.computable:
+            assert pruned.kernel_sequence() == exhaustive.kernel_sequence()
+            assert pruned.total_flops == exhaustive.total_flops
+
+
 class TestWorkCounters:
     """The loop's work counters, per solve and in the ``solver`` layer."""
 
@@ -408,8 +493,6 @@ class TestWorkCounters:
         return [Matrix(f"M{i}", dims[i], dims[i + 1]) for i in range(length)]
 
     def _solve(self, chain, **options):
-        from repro.options import CompileOptions
-
         return GMCAlgorithm(CompileOptions(plan_cache=False, **options)).solve(chain)
 
     def test_counts_cells_and_diagonals(self):

@@ -215,10 +215,17 @@ class TestPrunedMatchesExhaustive:
         "metric_name", ["flops", "weighted", "time", "kernels", "memory"]
     )
     @pytest.mark.parametrize("length", [3, 12, 24])
-    def test_palette_chains(self, metric_name, length):
+    @pytest.mark.parametrize("match_cache", [True, False])
+    def test_palette_chains(self, match_cache, metric_name, length):
+        """With the match cache on, both arms consult the decision memo;
+        with it off, both use the raw picker."""
         chain = palette_chain(seed=length * 31 + len(metric_name), length=length)
-        pruned = solve(chain, prune=True, metric=make_metric(metric_name))
-        exhaustive = solve(chain, prune=False, metric=make_metric(metric_name))
+        pruned = solve(
+            chain, prune=True, metric=make_metric(metric_name), match_cache=match_cache
+        )
+        exhaustive = solve(
+            chain, prune=False, metric=make_metric(metric_name), match_cache=match_cache
+        )
         assert pruned.computable and pruned.complete and exhaustive.complete
         assert plan_of(pruned) == plan_of(exhaustive)
         assert exhaustive.cells_pruned == 0
