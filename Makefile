@@ -29,7 +29,7 @@ service-check:
 snapshot-check:
 	$(PYTHON) scripts/ci_service_check.py --workers 2 --batch 8 --snapshot
 
-## Public-API surface manifest + internal deprecation hygiene (what CI runs).
+## Public-API surface manifest check (what CI runs).
 api-check:
 	$(PYTHON) scripts/ci_api_check.py
 

@@ -16,10 +16,11 @@ import statistics
 from repro.core import GMCAlgorithm
 from repro.cost import FlopCount, KernelCountMetric, PerformanceMetric
 from repro.kernels import default_catalog
+from repro.options import CompileOptions
 
 
-def _solve_all(problems, **kwargs):
-    gmc = GMCAlgorithm(**kwargs)
+def _solve_all(problems, **options):
+    gmc = GMCAlgorithm(CompileOptions(**options))
     return [gmc.solve(problem.expression) for problem in problems]
 
 

@@ -4,10 +4,9 @@
 The GMC compiler answers *how* to compute a matrix program; this example
 actually computes one.  It compiles a small Kalman-style DAG, emits it as a
 standalone Python module (no ``repro`` import needed at runtime -- only
-NumPy/SciPy, with an optional numba fast path probed at import), loads it
-through the signature-keyed module cache, runs it on seeded
-property-respecting random operands, and cross-checks the answer against
-the interpreted executor and the sequential reference evaluator.
+NumPy/SciPy), loads it through the signature-keyed module cache, runs it on
+seeded property-respecting random operands, and cross-checks the answer
+against the interpreted executor and the sequential reference evaluator.
 
 Run with::
 
@@ -49,7 +48,7 @@ def main() -> int:
     lines = source.splitlines()
     print(f"emitted module: {len(lines)} lines, plan {plan_signature(result)[:12]}")
     for line in lines:
-        if line.startswith(("ENTRYPOINT", "ARGUMENTS", "RESULT", "IMPLEMENTATION")):
+        if line.startswith(("ENTRYPOINT", "ARGUMENTS", "RESULT")):
             print(f"  {line}")
 
     # ------------------------------------------- load (cached) and run directly
@@ -58,8 +57,8 @@ def main() -> int:
     environment = dict(random_environment(result, seed=7))
     value = loaded.run(environment)
     print(
-        f"module run [{loaded.implementation}]: K is "
-        f"{value.shape[0]} x {value.shape[1]}, |K|_F = {np.linalg.norm(value):.6f}"
+        f"module run: K is {value.shape[0]} x {value.shape[1]}, "
+        f"|K|_F = {np.linalg.norm(value):.6f}"
     )
 
     # ------------------------------------- cross-check the interpreted executor

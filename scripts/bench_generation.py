@@ -888,7 +888,6 @@ def run_execution(seed, repeats=5):
         entry = {
             "program": name,
             "calls": len(program.calls),
-            "implementation": loaded.implementation,
             "emit_ms": emit_s * 1e3,
             "import_ms": import_s * 1e3,
             "module_run_ms": module_best * 1e3,
@@ -904,7 +903,7 @@ def run_execution(seed, repeats=5):
             f"interpreter {entry['interpreter_run_ms']:8.3f} ms "
             f"({entry['module_vs_interpreter']:5.2f}x), emit+import "
             f"{(emit_s + import_s) * 1e3:7.2f} ms, max rel err "
-            f"{max_rel_error:.2e} [{entry['implementation']}]"
+            f"{max_rel_error:.2e}"
         )
 
     module_total = sum(e["module_run_ms"] for e in per_program)

@@ -1,30 +1,21 @@
 #!/usr/bin/env python
-"""CI gate on the public API surface and on internal deprecation hygiene.
+"""CI gate on the public API surface.
 
-Two checks, both wired into the ``api-check`` CI job:
+Imports ``repro`` (and the sub-packages that define the compiler's public
+face), asserts that every ``__all__`` name resolves, and compares the
+surfaces against the checked-in manifest ``scripts/api_surface.json``.  An
+intentional API change must update the manifest in the same commit
+(``--update`` regenerates it), which turns silent surface drift into an
+explicit, reviewable diff.
 
-1. **Surface stability** -- imports ``repro`` (and the sub-packages that
-   define the compiler's public face), asserts that every ``__all__`` name
-   resolves, and compares the surfaces against the checked-in manifest
-   ``scripts/api_surface.json``.  An intentional API change must update the
-   manifest in the same commit (``--update`` regenerates it), which turns
-   silent surface drift into an explicit, reviewable diff.
-
-2. **Internal deprecation hygiene** -- runs the tier-1 suite with
-   ``DeprecationWarning`` escalated to an error for every warning attributed
-   to a ``repro.*`` module (``filterwarnings=error::DeprecationWarning:repro\\..*``).
-   The legacy call-shape shims (``compile_source(metric=...)``,
-   ``GMCAlgorithm(catalog=...)``, flat ``CompileRequest`` wire fields) warn
-   with a ``stacklevel`` that attributes the warning to *their caller*, so
-   this escalation means: external callers (including the tests that cover
-   the shims) merely see a warning, while the library calling one of its own
-   deprecated paths fails the build.
+Deprecation hygiene is not checked here: ``tests/conftest.py`` makes every
+``DeprecationWarning`` attributed to a ``repro.*`` frame an error in the
+tier-1 suite itself.
 
 Usage::
 
     PYTHONPATH=src python scripts/ci_api_check.py            # check
     PYTHONPATH=src python scripts/ci_api_check.py --update   # rewrite manifest
-    PYTHONPATH=src python scripts/ci_api_check.py --no-tests # surface only
 """
 
 from __future__ import annotations
@@ -32,7 +23,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
-import subprocess
 import sys
 from pathlib import Path
 
@@ -98,42 +88,10 @@ def check_surface() -> int:
     return 0
 
 
-def run_tier1_with_deprecation_gate() -> int:
-    command = [
-        sys.executable,
-        "-m",
-        "pytest",
-        "-q",
-        "-x",
-        "-p",
-        "no:cacheprovider",
-        # pytest ini-style filters take regexes; pytest's -W would escape the
-        # module pattern, so the override spelling is load-bearing here.
-        "-o",
-        r"filterwarnings=error::DeprecationWarning:repro\..*",
-        "tests/",
-    ]
-    print("running tier-1 suite with internal DeprecationWarnings as errors ...")
-    completed = subprocess.run(command, cwd=REPO_ROOT)
-    if completed.returncode != 0:
-        print(
-            "API CHECK FAILED: tier-1 suite failed with DeprecationWarning "
-            "escalated for repro.* internals (an internal code path is "
-            "calling a deprecated shim)",
-            file=sys.stderr,
-        )
-    return completed.returncode
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--update", action="store_true", help="rewrite the surface manifest"
-    )
-    parser.add_argument(
-        "--no-tests",
-        action="store_true",
-        help="only check the surface manifest (skip the tier-1 run)",
     )
     args = parser.parse_args(argv)
 
@@ -142,12 +100,7 @@ def main(argv=None) -> int:
         print(f"wrote {MANIFEST}")
         return 0
 
-    status = check_surface()
-    if status != 0:
-        return status
-    if args.no_tests:
-        return 0
-    return run_tier1_with_deprecation_gate()
+    return check_surface()
 
 
 if __name__ == "__main__":

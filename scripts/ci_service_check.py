@@ -39,8 +39,8 @@ worker pool), then drives the acceptance workload against it:
    key equal to an in-process :func:`repro.service.api.affinity_key`
    computation, proving cross-process key stability), ``GET /metrics``
    must carry a positive ``repro_compile_phase_latency_seconds`` p99
-   quantile series and ``GET /timeseries`` must have recorded the
-   requests on its counter rings.
+   quantile series, and its ``repro_request_latency_seconds_count`` must
+   have recorded the ``/compile`` requests.
 
 With ``--snapshot``, a second phase exercises **snapshot-backed warm
 boot**: the server is restarted against a shared ``--snapshot-dir`` after
@@ -306,9 +306,8 @@ def analytics_check(base: str) -> int:
     /analytics`` must rank the template signature first (with the key
     matching an in-process :func:`repro.service.api.affinity_key`
     computation -- proving the heavy-hitter keys are stable across the
-    client/worker process boundary), ``GET /metrics`` must carry nonzero
-    latency quantile series, and ``GET /timeseries`` must show the
-    request counters.
+    client/worker process boundary), and ``GET /metrics`` must carry
+    nonzero latency quantile series and count the ``/compile`` requests.
     """
     from repro.service.api import CompileRequest, affinity_key
 
@@ -357,20 +356,24 @@ def analytics_check(base: str) -> int:
     if not float(match.group(1)) > 0.0:
         return fail(f"solve p99 is not positive: {match.group(0)!r}")
 
-    status, series = http_json("GET", f"{base}/timeseries")
-    if status != 200:
-        return fail(f"GET /timeseries returned {status}")
-    requests_series = (series.get("series") or {}).get("requests") or []
-    recorded = sum(value for _, value in requests_series)
+    recorded = sum(
+        float(line.rsplit(" ", 1)[1])
+        for line in text.splitlines()
+        if line.startswith("repro_request_latency_seconds_count{")
+        and 'endpoint="/compile"' in line
+    )
     if recorded < 3:
-        return fail(f"/timeseries requests series only recorded {recorded}")
+        return fail(
+            f"repro_request_latency_seconds_count only recorded {recorded} "
+            f"/compile requests"
+        )
 
     print(
         f"analytics: top-1 signature matches the in-process affinity key "
         f"(count {top[0]['count']}, plan-hit rate "
         f"{top[0]['plan_hit_rate']:.3f}), solve p99 "
-        f"{float(match.group(1)) * 1e3:.3f} ms, {recorded:.0f} requests on "
-        f"the time series"
+        f"{float(match.group(1)) * 1e3:.3f} ms, {recorded:.0f} /compile "
+        f"requests counted"
     )
     return 0
 

@@ -102,14 +102,7 @@ class ExpressionInterner:
         found = table.get(expr)
         if found is not None:
             self.hits += 1
-            try:
-                table.move_to_end(found)
-            except KeyError:
-                # The intra-solve thread pool shares this table; a
-                # concurrent eviction can drop the entry between the get
-                # and the LRU touch.  Re-canonicalize it -- the found node
-                # is still a valid representative.
-                table[found] = found
+            table.move_to_end(found)
             return found
         self.misses += 1
         if expr.children:
@@ -117,11 +110,8 @@ class ExpressionInterner:
             if any(new is not old for new, old in zip(canonical_children, expr.children)):
                 expr = _rebuild(expr, canonical_children)
         while len(table) >= self.max_entries:
-            try:
-                table.popitem(last=False)
-                self.evictions += 1
-            except KeyError:  # emptied by a concurrent solver thread
-                break
+            table.popitem(last=False)
+            self.evictions += 1
         table[expr] = expr
         return expr
 

@@ -66,58 +66,8 @@ from ..cost.metrics import CostMetric
 from ..kernels.catalog import KernelCatalog
 from ..kernels.kernel import Kernel, KernelCall, Program
 from ..matching.patterns import Substitution
-from ..options import CompileOptions, warn_legacy
+from ..options import CompileOptions
 from .decision_memo import make_decision_memo
-
-#: Sentinel distinguishing "argument not passed" from explicit ``None``.
-_UNSET = object()
-
-
-def _coerce_options(
-    cls_name: str,
-    options,
-    metric,
-    prune,
-    catalog,
-) -> CompileOptions:
-    """Constructor shim of :class:`GMCAlgorithm`.
-
-    The canonical call-shape is ``GMCAlgorithm(CompileOptions(...))`` (or
-    the bare ``GMCAlgorithm()``); the pre-options loose keywords
-    ``catalog=/metric=/prune=`` (and a positional catalog) still work
-    through this shim but raise one :class:`DeprecationWarning` per
-    construction.
-    """
-    if isinstance(options, KernelCatalog):  # legacy positional catalog
-        catalog, options = options, None
-    legacy = {
-        name: value
-        for name, value in (("catalog", catalog), ("metric", metric), ("prune", prune))
-        if value is not _UNSET
-    }
-    if options is not None and legacy:
-        raise TypeError(
-            f"{cls_name}() takes either a CompileOptions object or the legacy "
-            f"catalog=/metric=/prune= keywords, not both"
-        )
-    if legacy:
-        warn_legacy(
-            f"{cls_name}(catalog=..., metric=..., prune=...)",
-            f"{cls_name}(CompileOptions(...))",
-            stacklevel=4,
-        )
-        metric_value = legacy.get("metric")
-        return CompileOptions(
-            metric="flops" if metric_value is None else metric_value,
-            catalog=legacy.get("catalog"),
-            prune=True if legacy.get("prune") is None else legacy.get("prune", True),
-        )
-    if options is None:
-        return CompileOptions()
-    if not isinstance(options, CompileOptions):
-        raise TypeError(f"expected CompileOptions, got {options!r}")
-    return options
-
 
 class UncomputableChainError(RuntimeError):
     """Raised when no parenthesization of the chain maps onto the catalog.
@@ -456,9 +406,7 @@ class GMCAlgorithm:
 
     The constructor takes one :class:`~repro.options.CompileOptions` value
     naming the catalog, metric, pruning and match-cache policy (and the
-    deadline-budget placeholder); ``GMCAlgorithm()`` uses the defaults.  The
-    pre-options loose keywords ``catalog=/metric=/prune=`` still work but
-    are deprecated.
+    deadline-budget placeholder); ``GMCAlgorithm()`` uses the defaults.
 
     ``options.prune`` visits a cell's splits cheapest-lower-bound first
     (:meth:`CostMetric.lower_bound`) and drops every split that provably
@@ -480,17 +428,12 @@ class GMCAlgorithm:
     ['POSV']
     """
 
-    def __init__(
-        self,
-        options: Optional[CompileOptions] = None,
-        metric=_UNSET,
-        prune=_UNSET,
-        *,
-        catalog=_UNSET,
-    ) -> None:
-        self.options = _coerce_options(
-            type(self).__name__, options, metric, prune, catalog
-        )
+    def __init__(self, options: Optional[CompileOptions] = None) -> None:
+        if options is None:
+            options = CompileOptions()
+        elif not isinstance(options, CompileOptions):
+            raise TypeError(f"expected CompileOptions, got {options!r}")
+        self.options = options
         self.catalog: KernelCatalog = self.options.resolve_catalog()
         self.metric: CostMetric = self.options.resolve_metric()
         self.prune: bool = self.options.prune

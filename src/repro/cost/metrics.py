@@ -103,22 +103,12 @@ class CostMetric:
             self._cost_misses += 1
             cost = self.kernel_cost(kernel, substitution)
             if len(cache) >= self.cost_cache_size:
-                try:
-                    cache.popitem(last=False)
-                    self._cost_evictions += 1
-                except KeyError:  # emptied by a concurrent solver thread
-                    pass
+                cache.popitem(last=False)
+                self._cost_evictions += 1
             cache[key] = cost
         else:
             self._cost_hits += 1
-            try:
-                cache.move_to_end(key)
-            except KeyError:
-                # The intra-solve thread pool shares this memo; a concurrent
-                # eviction can drop *key* between the get and the LRU touch.
-                # The cached cost is still valid -- losing one recency bump
-                # is harmless.
-                pass
+            cache.move_to_end(key)
         return cost
 
     @property

@@ -7,8 +7,7 @@ artifact and its execution a first-class, validated operation:
 * :mod:`repro.exec.emitter` -- the ``module`` emitter
   (``result.emit("module")``): a solved plan, including multi-segment DAG
   programs stitched topologically, rendered as a self-contained importable
-  Python module (inlined kernel helpers, NumPy baseline, optional
-  numba-``@njit`` fast path probed at import);
+  Python module (inlined kernel helpers, one NumPy entrypoint);
 * :mod:`repro.exec.loader` -- materializes emitted source to a temp
   module, imports it, runs it against operand payloads, and caches loaded
   modules by plan signature so repeat executions skip emit+import;

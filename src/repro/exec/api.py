@@ -156,8 +156,8 @@ class ExecuteResponse:
 
     ``results`` summarizes the program's final user target (shape, norms);
     ``validated`` / ``max_rel_error`` report the reference comparison;
-    ``implementation`` is what actually ran (``numpy``, ``numba`` or
-    ``interpreter``); ``timing`` carries the per-phase seconds.  On
+    ``implementation`` is what actually ran (``numpy`` for the emitted
+    module, ``interpreter`` for the :class:`Executor`); ``timing`` carries the per-phase seconds.  On
     failure ``phase`` names where it happened (``compile`` / ``operands``
     / ``emit`` / ``import`` / ``run`` / ``validate``).
     """
@@ -372,7 +372,7 @@ def run_execute_request(
                 raise
             timing["run_s"] = time.perf_counter() - t0
             telemetry.record_run(ok=True)
-            implementation = loaded.implementation
+            implementation = "numpy"
 
         engines_match: Optional[bool] = None
         if request.engine in ("interpreter", "both"):

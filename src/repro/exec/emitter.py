@@ -8,16 +8,11 @@ whole-DAG program of a :class:`~repro.frontend.compiler.CompilationResult`
   (:mod:`repro.codegen.runtime_inline`), so the emitted source imports
   **nothing from repro** and runs in a fresh process with only NumPy (and
   SciPy, when a structured solver is inlined) on the path;
-* a NumPy baseline implementation interprets exactly the statements the
-  ``numpy`` emitter renders, so module output matches the interpreter
+* the entrypoint function runs exactly the statements the ``numpy``
+  emitter renders, so module output matches the interpreter
   (:class:`repro.runtime.executor.Executor`) bit for bit;
-* an optional ``numba``-``@njit`` fast path is generated from the kernel
-  runtime semantics (plain ``@`` / ``np.linalg`` forms with no scipy
-  dependency), probed at import time against the baseline on small
-  identity operands, and silently discarded when numba is absent or the
-  probe disagrees -- the module degrades to the NumPy baseline;
 * metadata constants (``ENTRYPOINT``, ``ARGUMENTS``, ``RESULT``,
-  ``OPERANDS``, ``IMPLEMENTATION``) drive the loader/runner
+  ``OPERANDS``) drive the loader/runner
   (:mod:`repro.exec.loader`) and make the module self-describing.
 
 Registered in the :mod:`repro.codegen` emitter registry under the name
@@ -28,18 +23,14 @@ whole DAG as ONE module instead of one function per segment.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional
+from typing import List
 
 from ..algebra.expression import Matrix
 from ..codegen.julia import _input_operands
 from ..codegen.runtime_inline import helpers_used, render_helpers
-from ..kernels.kernel import KernelCall, Program
+from ..kernels.kernel import Program
 
 __all__ = ["generate_module", "plan_signature"]
-
-#: Inversion runtimes that all reduce to ``np.linalg.inv`` in the fast path.
-_INVERT_RUNTIMES = ("invert", "invert_spd", "invert_triangular", "invert_diagonal")
-
 
 def _module_operands(program: Program) -> List[Matrix]:
     """The emitted module's arguments: program inputs, plus the output
@@ -55,72 +46,6 @@ def _module_operands(program: Program) -> List[Matrix]:
     ):
         operands.append(output)
     return operands
-
-
-def _numba_statement(call: KernelCall) -> Optional[str]:
-    """A numba-nopython-safe statement computing *call*, or ``None``.
-
-    Mirrors the dispatch semantics of
-    :meth:`repro.runtime.executor.Executor.execute_call` kernel family by
-    kernel family, but in plain ``@`` / ``np.linalg`` forms (no scipy, no
-    structure-specialized helpers): mathematically identical, so the
-    import-time probe against the NumPy baseline agrees to tolerance.
-    """
-    kernel = call.kernel
-    flags = dict(kernel.flags)
-    runtime = kernel.runtime
-    names = call.operand_names
-    out = call.output.name
-
-    def wrapped(wildcard: str, code: str) -> Optional[str]:
-        if code not in ("N", "T"):
-            return None
-        name = names[wildcard]
-        return f"{name}.T" if code == "T" else name
-
-    if runtime == "product":
-        left = wrapped("X", str(flags.get("left_op", "N")))
-        right = wrapped("Y", str(flags.get("right_op", "N")))
-        if left is None or right is None:
-            return None
-        return f"{out} = {left} @ {right}"
-    if runtime == "syrk":
-        operand = names["X"]
-        if str(flags.get("trans", "T")) == "T":
-            return f"{out} = {operand}.T @ {operand}"
-        return f"{out} = {operand} @ {operand}.T"
-    if runtime == "solve":
-        side = str(flags.get("side", "L"))
-        left_op = str(flags.get("left_op", "N"))
-        right_op = str(flags.get("right_op", "N"))
-        if side == "L":
-            coefficient = names["X"]
-            system = f"{coefficient}.T" if left_op == "IT" else coefficient
-            rhs = wrapped("Y", right_op)
-            if rhs is None:
-                return None
-            return f"{out} = np.linalg.solve({system}, {rhs})"
-        # Right-side solve X * C^-1: solve(C^T z^T = X^T), transpose back
-        # (exactly lu_solve(..., side="R") in the runtime).
-        coefficient = names["Y"]
-        system_t = coefficient if right_op == "IT" else f"{coefficient}.T"
-        if left_op not in ("N", "T"):
-            return None
-        rhs_t = names["X"] if left_op == "T" else f"{names['X']}.T"
-        return f"{out} = np.linalg.solve({system_t}, {rhs_t}).T"
-    if runtime == "solve_both":
-        left = names["X"]
-        right = names["Y"]
-        left_system = f"{left}.T" if str(flags.get("left_op", "I")) == "IT" else left
-        right_expr = f"{right}.T" if str(flags.get("right_op", "I")) == "IT" else right
-        return f"{out} = np.linalg.solve({left_system}, np.linalg.inv({right_expr}))"
-    if runtime in _INVERT_RUNTIMES:
-        operand = names["X"]
-        expr = f"{operand}.T" if str(flags.get("op", "I")) == "IT" else operand
-        return f"{out} = np.linalg.inv({expr})"
-    if runtime == "transpose":
-        return f"{out} = np.ascontiguousarray({names['X']}.T)"
-    return None
 
 
 def _operand_metadata(operands: List[Matrix]) -> List[str]:
@@ -161,14 +86,6 @@ def generate_module(program: Program, function_name: str = "compute") -> str:
         raise ValueError("cannot emit a module for an empty program")
 
     helper_text, needs_scipy = render_helpers(helpers_used(statements))
-    numba_statements = [_numba_statement(call) for call in program.calls]
-    numba_viable = (
-        bool(program.calls)
-        and bool(operands)
-        and all(statement is not None for statement in numba_statements)
-    )
-    baseline = f"_{function_name}_numpy"
-    fast = f"_{function_name}_numba"
 
     expression = (
         f"``{result_name} := {program.expression}``"
@@ -187,9 +104,6 @@ def generate_module(program: Program, function_name: str = "compute") -> str:
         "module needs only NumPy"
         + (" and SciPy" if needs_scipy else "")
         + " at run time -- no ``repro`` import.",
-        "An optional numba fast path is probed at import and silently",
-        "degrades to the NumPy baseline when numba is absent or the probe",
-        "disagrees with the baseline.",
         '"""',
         "",
         "import numpy as np",
@@ -207,75 +121,12 @@ def generate_module(program: Program, function_name: str = "compute") -> str:
         lines += ["", ""]
         lines.append(helper_text.rstrip("\n"))
 
-    # ------------------------------------------------------ NumPy baseline
     lines += ["", ""]
-    lines.append(f"def {baseline}({signature}):")
-    if program.expression is not None:
-        lines.append(f'    """Computes {program.expression} (NumPy baseline)."""')
+    lines.append(f"def {function_name}({signature}):")
+    lines.append(f'    """Compute {expression.strip("`")}."""')
     if program.calls:
         lines += _body_statements(program.calls, statements)
     lines.append(f"    return {result_name}")
-
-    # ----------------------------------------------------- numba fast path
-    lines += ["", ""]
-    if numba_viable:
-        dims = sorted({d for op in operands for d in (op.rows, op.columns)})
-        dim_map = {dim: index + 2 for index, dim in enumerate(dims)}
-        probe = ", ".join(
-            f"np.eye({dim_map[op.rows]}, {dim_map[op.columns]})" for op in operands
-        )
-        if len(operands) == 1:
-            probe += ","
-        lines += [
-            "NUMBA_IMPLEMENTATION = None",
-            "try:",
-            "    import numba as _numba",
-            "",
-            "    @_numba.njit(cache=False)",
-            f"    def {fast}({signature}):",
-        ]
-        for statement in numba_statements:
-            lines.append(f"        {statement}")
-        lines += [
-            f"        return {result_name}",
-            "",
-            "    # Probe: run both paths on small identity operands with the",
-            "    # program's dimension structure; keep the fast path only when",
-            "    # it compiles, runs and agrees with the baseline.",
-            f"    _probe = ({probe})",
-            f"    _expected = {baseline}(*_probe)",
-            f"    _candidate = {fast}(*_probe)",
-            "    if (",
-            "        getattr(_candidate, 'shape', None) == _expected.shape",
-            "        and np.allclose(_candidate, _expected, rtol=1e-6, atol=1e-8)",
-            "    ):",
-            f"        NUMBA_IMPLEMENTATION = {fast}",
-            "except Exception:  # numba missing, nopython rejection, probe failure",
-            "    NUMBA_IMPLEMENTATION = None",
-        ]
-    else:
-        lines += [
-            "# No numba fast path: the program has no kernel calls (or uses a",
-            "# runtime with no nopython-safe rewrite); the baseline serves.",
-            "NUMBA_IMPLEMENTATION = None",
-        ]
-    lines += [
-        "",
-        'IMPLEMENTATION = "numba" if NUMBA_IMPLEMENTATION is not None else "numpy"',
-    ]
-
-    # ----------------------------------------------------------- dispatcher
-    lines += ["", ""]
-    lines.append(f"def {function_name}({signature}):")
-    lines.append(
-        f'    """Compute {expression.strip("`")} '
-        '(numba fast path when available)."""'
-    )
-    lines += [
-        "    if NUMBA_IMPLEMENTATION is not None:",
-        f"        return NUMBA_IMPLEMENTATION({signature})",
-        f"    return {baseline}({signature})",
-    ]
     return "\n".join(lines) + "\n"
 
 
@@ -287,8 +138,7 @@ def plan_signature(result) -> str:
     ``emit_stitched("module")`` renders) or a bare
     :class:`~repro.kernels.kernel.Program`.  Covers operand dimensions and
     properties as well as the kernel sequence: same kernels over different
-    shapes must not share a module (the probe section and metadata
-    differ).
+    shapes must not share a module (the operand metadata differs).
     """
     if hasattr(result, "stitched_program"):
         program = result.stitched_program()

@@ -11,7 +11,7 @@ the stdlib and NumPy): it is the bottom of the execution tier's import
 graph, which lets :mod:`repro.telemetry` report the ``execution`` layer
 without creating an import cycle, and keeps the loader reusable for any
 source text that follows the emitted-module protocol (module attributes
-``ENTRYPOINT``, ``ARGUMENTS``, ``RESULT``, ``IMPLEMENTATION``).
+``ENTRYPOINT``, ``ARGUMENTS``, ``RESULT``).
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ class LoadedModule:
     """One imported emitted module, ready to execute.
 
     ``run`` binds an operand environment (name -> array) to the module's
-    declared argument order, casts to contiguous float64 (what the numba
-    fast path, when active, requires) and calls the entrypoint.
+    declared argument order, casts to contiguous float64 (the precision
+    the interpreter computes in, so results stay comparable) and calls the
+    entrypoint.
     """
 
     key: str
@@ -68,11 +69,6 @@ class LoadedModule:
     @property
     def result(self) -> Optional[str]:
         return getattr(self.module, "RESULT", None)
-
-    @property
-    def implementation(self) -> str:
-        """Which path the module selected at import: ``numba`` or ``numpy``."""
-        return str(getattr(self.module, "IMPLEMENTATION", "numpy"))
 
     @property
     def entrypoint(self):

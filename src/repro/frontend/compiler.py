@@ -18,8 +18,7 @@ command line (``python -m repro.frontend``), the HTTP service
 identical kernel sequences across all entry points.
 
 :func:`compile_source` / :func:`compile_program` remain as conveniences
-that run one compilation on a throwaway session; their pre-options
-``metric=``/``catalog=`` keywords are deprecated in favour of ``options=``.
+that run one compilation on a throwaway session configured by ``options=``.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from ..cost.metrics import CostMetric, resolve_metric
 from ..kernels.catalog import KernelCatalog
 from ..kernels.kernel import KernelCall, Program
 from ..obs.trace import Tracer
-from ..options import CompileOptions, warn_legacy
+from ..options import CompileOptions
 from ..persist.plan_cache import PlanCache
 from ..telemetry import reset as _telemetry_reset
 from ..telemetry import snapshot as _telemetry_snapshot
@@ -598,43 +597,15 @@ class Compiler:
 # Convenience functions (one-shot sessions).
 # ---------------------------------------------------------------------------
 
-def _convenience_options(
-    metric, catalog, options: Optional[CompileOptions], caller: str
-) -> Optional[CompileOptions]:
-    """Shared shim of :func:`compile_source`/:func:`compile_program`: map the
-    deprecated ``metric=``/``catalog=`` keywords onto an options value."""
-    if metric is None and catalog is None:
-        return options
-    if options is not None:
-        raise TypeError(f"{caller}() takes either options or metric=/catalog=, not both")
-    warn_legacy(
-        f"{caller}(metric=..., catalog=...)",
-        f"{caller}(..., options=CompileOptions(...))",
-        stacklevel=4,
-    )
-    return CompileOptions(
-        metric="flops" if metric is None else metric, catalog=catalog
-    )
-
-
 def compile_program(
-    program: ParsedProgram,
-    metric: Union[CostMetric, str, None] = None,
-    catalog: Optional[KernelCatalog] = None,
-    *,
-    options: Optional[CompileOptions] = None,
+    program: ParsedProgram, *, options: Optional[CompileOptions] = None
 ) -> CompilationResult:
     """Compile an already-parsed DSL program on a one-shot session."""
-    options = _convenience_options(metric, catalog, options, "compile_program")
     return Compiler(options).compile(program)
 
 
 def compile_source(
-    source: str,
-    metric: Union[CostMetric, str, None] = None,
-    catalog: Optional[KernelCatalog] = None,
-    *,
-    options: Optional[CompileOptions] = None,
+    source: str, *, options: Optional[CompileOptions] = None
 ) -> CompilationResult:
     """Compile a textual problem description (Figs. 1/2 grammar) end to end.
 
@@ -646,7 +617,6 @@ def compile_source(
     >>> result.assignment("X").kernel_sequence
     ['POSV']
     """
-    options = _convenience_options(metric, catalog, options, "compile_source")
     return Compiler(options).compile(source)
 
 

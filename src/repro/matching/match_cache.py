@@ -207,13 +207,7 @@ class MatchCache:
         cached = self._entries.get(signature)
         if cached is not None:
             self.hits += 1
-            try:
-                self._entries.move_to_end(signature)
-            except KeyError:
-                # The intra-solve thread pool shares this cache; a
-                # concurrent eviction can drop the entry between the get
-                # and the LRU touch.  The cached matches stay valid.
-                pass
+            self._entries.move_to_end(signature)
             nodes, _ = _flatten_subject(subject)
             results: List[Tuple[object, Substitution]] = []
             for payload, slots in cached:
@@ -240,11 +234,8 @@ class MatchCache:
             isinstance(node, Wildcard) for node in nodes
         ):
             if len(self._entries) >= self.max_entries:
-                try:
-                    self._entries.popitem(last=False)
-                    self.evictions += 1
-                except KeyError:  # emptied by a concurrent solver thread
-                    pass
+                self._entries.popitem(last=False)
+                self.evictions += 1
             self._entries[signature] = entry
         return results
 

@@ -5,13 +5,12 @@ Six stdlib-only modules, threaded through every layer of the pipeline:
 * :mod:`repro.obs.trace` -- opt-in span trees for one compilation
   (``CompileOptions(trace=True)``), exportable as raw JSON or Chrome
   trace-event JSON (Perfetto-loadable), tagged with the service request id;
-* :mod:`repro.obs.metrics` -- counters, fixed-bucket latency histograms and
-  the Prometheus text exposition behind ``GET /metrics``;
+* :mod:`repro.obs.metrics` -- counters, sketch-backed latency histograms
+  and the Prometheus text exposition behind ``GET /metrics``;
 * :mod:`repro.obs.analytics` -- mergeable streaming sketches over service
   traffic: Space-Saving heavy hitters over request signatures
-  (``GET /analytics``), DDSketch-style latency quantiles
-  (``repro_*_latency{quantile=...}`` on ``/metrics``) and wall-clock
-  aligned counter rings (``GET /timeseries``);
+  (``GET /analytics``) and DDSketch-style latency quantiles
+  (``repro_*_latency{quantile=...}`` on ``/metrics``);
 * :mod:`repro.obs.profile` -- opt-in per-request ``cProfile`` deep
   profiles (``CompileOptions(profile=True)`` / ``POST /profile``), with
   ``flamegraph.pl``-compatible collapsed-stack output;
@@ -29,7 +28,6 @@ is sketch-cheap; both properties are gated in CI by
 """
 
 from .analytics import (
-    CounterRing,
     QuantileSketch,
     SpaceSavingSketch,
     WorkloadAnalytics,
@@ -37,10 +35,7 @@ from .analytics import (
     analytics_enabled,
     analytics_report,
     merge_analytics_states,
-    render_quantile_lines,
-    service_analytics,
     set_analytics_enabled,
-    timeseries_report,
     workload_analytics,
 )
 from .explain import explain_execution, explain_result, provenance_of
@@ -54,9 +49,9 @@ from .logging import (
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
-    Histogram,
     MetricsRegistry,
     render_prometheus,
+    render_quantile_lines,
     reset_service_metrics,
     service_metrics,
 )
@@ -65,9 +60,7 @@ from .trace import Span, Tracer
 
 __all__ = [
     "Counter",
-    "CounterRing",
     "DEFAULT_LATENCY_BUCKETS",
-    "Histogram",
     "JsonFormatter",
     "MetricsRegistry",
     "QuantileSketch",
@@ -92,10 +85,8 @@ __all__ = [
     "render_prometheus",
     "render_quantile_lines",
     "reset_service_metrics",
-    "service_analytics",
     "service_metrics",
     "set_analytics_enabled",
-    "timeseries_report",
     "top_functions",
     "workload_analytics",
 ]

@@ -1,6 +1,6 @@
 """Workload analytics: mergeable streaming sketches over service traffic.
 
-Three stdlib-only sketch structures, all **mergeable** so the worker pool
+Two stdlib-only sketch structures, both **mergeable** so the worker pool
 can aggregate worker-local state through the existing
 :func:`repro.telemetry.aggregate` path (the ``"analytics"`` telemetry
 layer) exactly like :mod:`repro.persist.snapshot` merges cache state:
@@ -16,19 +16,14 @@ layer) exactly like :mod:`repro.persist.snapshot` merges cache state:
   sketch in the DDSketch family: bucket ``i`` covers
   ``(gamma^(i-1), gamma^i]`` with ``gamma = (1+alpha)/(1-alpha)``, so any
   reported quantile is within relative error *alpha* of the true value and
-  two sketches merge by bucket-wise addition.  Rendered as
-  ``repro_*_latency{quantile="0.5|0.95|0.99"}`` gauges on ``/metrics``.
-* :class:`CounterRing` -- a wall-clock-aligned ring of counter slots
-  (configurable resolution/retention) behind ``GET /timeseries``.  Slots
-  are keyed by the **absolute** slot index ``int(now / resolution)``, so
-  rings recorded in different processes merge by slot alignment.
+  two sketches merge by bucket-wise addition.  It is also the one latency
+  store of the HTTP tier (:class:`repro.obs.metrics.MetricsRegistry`),
+  whose ``/metrics`` histograms are rendered from it.
 
-:class:`WorkloadAnalytics` bundles one of each behind a lock; two
-process-global instances exist per process: :func:`workload_analytics`
-(the worker-side view, recorded at ``execute_request`` time and shipped
-inside the telemetry snapshot) and :func:`service_analytics` (the HTTP
-front-end's endpoint latencies and 429/validation-failure rings, which
-must not double-count when the executor runs in-process).
+:class:`WorkloadAnalytics` bundles heavy hitters and per-label quantile
+sketches behind a lock; the process-global :func:`workload_analytics`
+instance is the worker-side view, recorded at ``execute_request`` time and
+shipped inside the telemetry snapshot.
 
 The layer is always-on but cheap (a dict update and a ``log`` per
 request); ``scripts/bench_generation.py --check-analytics-overhead`` gates
@@ -40,26 +35,19 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
-import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-from .metrics import escape_label_value, format_value, sanitize_metric_name
 
 __all__ = [
     "SpaceSavingSketch",
     "QuantileSketch",
-    "CounterRing",
     "WorkloadAnalytics",
     "workload_analytics",
-    "service_analytics",
     "analytics_enabled",
     "set_analytics_enabled",
     "analytics_disabled",
     "merge_analytics_states",
     "analytics_report",
-    "timeseries_report",
-    "render_quantile_lines",
 ]
 
 #: Default bound on tracked heavy-hitter entries (error <= N/capacity).
@@ -67,10 +55,6 @@ DEFAULT_TOP_CAPACITY = 64
 
 #: Default relative accuracy of the quantile sketches (1%).
 DEFAULT_ALPHA = 0.01
-
-#: Default time-series resolution (seconds per slot) and retention (slots).
-DEFAULT_RING_RESOLUTION_S = 5.0
-DEFAULT_RING_SLOTS = 120
 
 #: Values at or below this collapse into the quantile sketch's zero bucket
 #: (sub-nanosecond latencies carry no information at alpha ~ 1%).
@@ -276,6 +260,28 @@ class QuantileSketch:
             estimate = min(max(estimate, self.min), self.max)
         return estimate
 
+    def cumulative_counts(self, bounds: Sequence[float]) -> List[int]:
+        """Samples at or below each of the ascending *bounds*: the
+        cumulative ``le`` buckets of a Prometheus histogram.
+
+        Counted per log bucket, so every sample ``<= bound`` is included
+        and so may be samples up to a factor ``gamma`` above it -- the
+        sketch's relative accuracy.  Counts never decrease along *bounds*
+        and reach :attr:`count` once a bound covers :attr:`max`.
+        """
+        indexed = sorted(self._buckets.items())
+        position = 0
+        running = self.zero_count
+        counts: List[int] = []
+        for bound in bounds:
+            if bound > _ZERO_THRESHOLD:
+                limit = math.ceil(math.log(bound) / self._log_gamma)
+                while position < len(indexed) and indexed[position][0] <= limit:
+                    running += indexed[position][1]
+                    position += 1
+            counts.append(running)
+        return counts
+
     def summary(self) -> Dict[str, float]:
         """Count plus the dashboard quantiles, for ``GET /analytics``."""
         if self.count == 0:
@@ -337,133 +343,36 @@ class QuantileSketch:
 
 
 # ---------------------------------------------------------------------------
-# Wall-clock-aligned counter rings.
-# ---------------------------------------------------------------------------
-
-class CounterRing:
-    """A bounded time series of counter increments.
-
-    Slots are keyed by the absolute index ``int(now / resolution_s)`` --
-    wall clock, not a per-process epoch -- so rings recorded in different
-    worker processes merge by aligning slot indexes and summing.  At most
-    *slots* slots are retained (older ones are dropped on record/merge),
-    bounding memory like a ring buffer regardless of process lifetime.
-    """
-
-    def __init__(
-        self,
-        resolution_s: float = DEFAULT_RING_RESOLUTION_S,
-        slots: int = DEFAULT_RING_SLOTS,
-    ) -> None:
-        if resolution_s <= 0:
-            raise ValueError(f"resolution_s must be positive, got {resolution_s!r}")
-        if slots < 1:
-            raise ValueError(f"slots must be >= 1, got {slots!r}")
-        self.resolution_s = float(resolution_s)
-        self.slots = int(slots)
-        self._values: Dict[int, float] = {}
-
-    def record(self, value: float = 1.0, now: Optional[float] = None) -> None:
-        now = time.time() if now is None else now
-        slot = int(now // self.resolution_s)
-        values = self._values
-        if slot in values:
-            # Hot path: incrementing the current slot cannot move the
-            # retention horizon, so skip the O(slots) prune scan.
-            values[slot] += float(value)
-        else:
-            values[slot] = float(value)
-            self._prune(slot)
-
-    def _prune(self, latest: int) -> None:
-        horizon = latest - self.slots + 1
-        if len(self._values) > self.slots or min(self._values, default=horizon) < horizon:
-            self._values = {
-                slot: value for slot, value in self._values.items() if slot >= horizon
-            }
-
-    def points(self) -> List[List[float]]:
-        """``[[epoch_seconds, value], ...]`` in time order."""
-        return [
-            [slot * self.resolution_s, value]
-            for slot, value in sorted(self._values.items())
-        ]
-
-    def total(self) -> float:
-        return sum(self._values.values())
-
-    # ----------------------------------------------------------------- state
-    def to_state(self) -> Dict[str, Any]:
-        return {
-            "resolution_s": self.resolution_s,
-            "slots": self.slots,
-            "values": dict(self._values),
-        }
-
-    @classmethod
-    def from_state(cls, state: Mapping) -> "CounterRing":
-        ring = cls(
-            resolution_s=float(state.get("resolution_s", DEFAULT_RING_RESOLUTION_S)),
-            slots=int(state.get("slots", DEFAULT_RING_SLOTS)),
-        )
-        ring.merge(state)
-        return ring
-
-    def merge(self, state: Mapping) -> None:
-        """Sum another ring's slots into this one by absolute slot index."""
-        for slot, value in (state.get("values") or {}).items():
-            slot = int(slot)
-            self._values[slot] = self._values.get(slot, 0.0) + float(value)
-        if self._values:
-            self._prune(max(self._values))
-
-
-# ---------------------------------------------------------------------------
 # The per-process bundle.
 # ---------------------------------------------------------------------------
 
 class WorkloadAnalytics:
-    """One process's workload-analytics state: heavy hitters, latency
-    quantile sketches keyed by ``(metric name, label key, label value)``
-    and time-series counter rings.  Thread-safe; serializes to one plain
-    ``state()`` dict whose numeric top-level keys double as ``/metrics``
-    gauges for the ``analytics`` telemetry layer."""
+    """One process's workload-analytics state: heavy hitters and latency
+    quantile sketches keyed by ``(metric name, label key, label value)``.
+    Thread-safe; serializes to one plain ``state()`` dict whose numeric
+    top-level keys double as ``/metrics`` gauges for the ``analytics``
+    telemetry layer."""
 
     def __init__(
-        self,
-        top_capacity: int = DEFAULT_TOP_CAPACITY,
-        alpha: float = DEFAULT_ALPHA,
-        ring_resolution_s: float = DEFAULT_RING_RESOLUTION_S,
-        ring_slots: int = DEFAULT_RING_SLOTS,
+        self, top_capacity: int = DEFAULT_TOP_CAPACITY, alpha: float = DEFAULT_ALPHA
     ) -> None:
         self.alpha = alpha
-        self.ring_resolution_s = ring_resolution_s
-        self.ring_slots = ring_slots
         self._lock = threading.Lock()
         self.signatures = SpaceSavingSketch(top_capacity)
         self._latency: Dict[Tuple[str, str, str], QuantileSketch] = {}
-        self._rings: Dict[str, CounterRing] = {}
         self.requests = 0
         self.plan_hits = 0
 
     # -------------------------------------------------------------- recording
     def record_request(
-        self,
-        signature: str,
-        *,
-        plan_hit: bool,
-        latency_s: float,
-        now: Optional[float] = None,
+        self, signature: str, *, plan_hit: bool, latency_s: float
     ) -> None:
-        """One served compile request: heavy-hitter + counters + rings."""
-        now = time.time() if now is None else now
+        """One served compile request: heavy-hitter entry plus counters."""
         with self._lock:
             self.requests += 1
             self.signatures.observe(signature, plan_hit=plan_hit, latency_s=latency_s)
-            self._ring("requests").record(now=now)
             if plan_hit:
                 self.plan_hits += 1
-                self._ring("plan_hits").record(now=now)
 
     def observe_latency(
         self, name: str, label_key: str, label_value: str, seconds: float
@@ -493,21 +402,6 @@ class WorkloadAnalytics:
                     sketch = self._latency[key] = QuantileSketch(self.alpha)
                 sketch.observe(seconds)
 
-    def record_point(
-        self, key: str, value: float = 1.0, now: Optional[float] = None
-    ) -> None:
-        """One time-series increment (e.g. a 429 or a validation failure)."""
-        with self._lock:
-            self._ring(key).record(value, now=now)
-
-    def _ring(self, key: str) -> CounterRing:
-        ring = self._rings.get(key)
-        if ring is None:
-            ring = self._rings[key] = CounterRing(
-                self.ring_resolution_s, self.ring_slots
-            )
-        return ring
-
     # ----------------------------------------------------------------- state
     def state(self) -> Dict[str, Any]:
         """The mergeable snapshot shipped as the ``analytics`` telemetry
@@ -530,7 +424,6 @@ class WorkloadAnalytics:
                         self._latency.items()
                     )
                 ],
-                "rings": {key: ring.to_state() for key, ring in self._rings.items()},
             }
 
     def merge_state(self, state: Mapping) -> None:
@@ -548,19 +441,12 @@ class WorkloadAnalytics:
                         alpha=float(entry["sketch"].get("alpha", self.alpha))
                     )
                 sketch.merge(entry["sketch"])
-            for key, ring_state in (state.get("rings") or {}).items():
-                ring = self._rings.get(key)
-                if ring is None:
-                    ring = self._rings[key] = CounterRing.from_state(ring_state)
-                else:
-                    ring.merge(ring_state)
 
     def reset(self) -> None:
         """Drop every sketch (the analytics half of ``telemetry.reset``)."""
         with self._lock:
             self.signatures = SpaceSavingSketch(self.signatures.capacity)
             self._latency = {}
-            self._rings = {}
             self.requests = 0
             self.plan_hits = 0
 
@@ -573,23 +459,12 @@ class WorkloadAnalytics:
 #: ``execute_request`` and shipped inside ``telemetry.snapshot()``.
 _WORKLOAD = WorkloadAnalytics()
 
-#: Front-end analytics: per-endpoint latencies and 429/validation rings,
-#: recorded by the HTTP layer.  Kept separate from the worker-side instance
-#: so the in-process executor (one process doing both jobs) never
-#: double-counts when the two views are merged for ``/timeseries``.
-_SERVICE = WorkloadAnalytics()
-
 _ENABLED = True
 
 
 def workload_analytics() -> WorkloadAnalytics:
     """The process-global worker-side analytics instance."""
     return _WORKLOAD
-
-
-def service_analytics() -> WorkloadAnalytics:
-    """The process-global HTTP front-end analytics instance."""
-    return _SERVICE
 
 
 def analytics_enabled() -> bool:
@@ -633,8 +508,8 @@ def merge_analytics_states(states: Iterable[Mapping]) -> Dict[str, Any]:
         if not isinstance(state, Mapping):
             continue
         if not seeded and state.get("signatures"):
-            # Adopt the first real state's shape parameters so capacities
-            # and ring resolutions survive the round trip.
+            # Adopt the first real state's capacity so it survives the
+            # round trip.
             merged.signatures = SpaceSavingSketch(
                 int(state["signatures"].get("capacity", DEFAULT_TOP_CAPACITY))
             )
@@ -651,8 +526,9 @@ def analytics_report(
     """The ``GET /analytics`` body: top-k signatures + latency summaries.
 
     *state* is the pooled worker-side layer (from ``executor.stats()``),
-    *service_state* the front-end instance's view; the two hold disjoint
-    metric names, so merging them is lossless.
+    *service_state* the HTTP tier's latency sketches in the same shape
+    (:meth:`repro.obs.metrics.MetricsRegistry.latency_entries`); the two hold
+    disjoint metric names, so merging them is lossless.
     """
     merged = merge_analytics_states(
         [s for s in (state, service_state) if isinstance(s, Mapping)]
@@ -676,61 +552,3 @@ def analytics_report(
         },
         "latency": latency,
     }
-
-
-def timeseries_report(state: Mapping) -> Dict[str, Any]:
-    """The ``GET /timeseries`` body: per-counter ``[[t, value], ...]``."""
-    rings = state.get("rings") or {}
-    series: Dict[str, List[List[float]]] = {}
-    resolution = DEFAULT_RING_RESOLUTION_S
-    slots = DEFAULT_RING_SLOTS
-    for key, ring_state in sorted(rings.items()):
-        ring = CounterRing.from_state(ring_state)
-        resolution = ring.resolution_s
-        slots = ring.slots
-        series[key] = ring.points()
-    return {"resolution_s": resolution, "slots": slots, "series": series}
-
-
-def render_quantile_lines(
-    states: Sequence[Optional[Mapping]],
-    prefix: str = "repro",
-    quantiles: Sequence[float] = (0.5, 0.95, 0.99),
-) -> str:
-    """Prometheus summary-style quantile gauges for ``GET /metrics``.
-
-    Merges the latency sketches of the given analytics states and renders
-    one contiguous sample block per metric name::
-
-        repro_endpoint_latency_seconds{endpoint="/compile",quantile="0.5"} 0.0021
-
-    Returns ``""`` when no sketch has samples (so the caller can append
-    the result to an exposition body unconditionally).
-    """
-    merged = merge_analytics_states([s for s in states if isinstance(s, Mapping)])
-    by_name: Dict[str, List[Tuple[str, str, QuantileSketch]]] = {}
-    for entry in merged.get("latency") or ():
-        sketch = QuantileSketch.from_state(entry["sketch"])
-        if sketch.count == 0:
-            continue
-        by_name.setdefault(entry["name"], []).append(
-            (entry["label"], str(entry["value"]), sketch)
-        )
-    lines: List[str] = []
-    for name in sorted(by_name):
-        metric = f"{prefix}_{sanitize_metric_name(name)}"
-        lines.append(f"# HELP {metric} mergeable streaming quantiles (DDSketch-style)")
-        lines.append(f"# TYPE {metric} gauge")
-        for label_key, label_value, sketch in sorted(
-            by_name[name], key=lambda item: item[1]
-        ):
-            label = f'{sanitize_metric_name(label_key)}="{escape_label_value(label_value)}"'
-            for q in quantiles:
-                value = sketch.quantile(q)
-                lines.append(
-                    f'{metric}{{{label},quantile="{q:g}"}} {format_value(value)}'
-                )
-            lines.append(
-                f'{metric}_count{{{label}}} {format_value(float(sketch.count))}'
-            )
-    return "\n".join(lines) + "\n" if lines else ""

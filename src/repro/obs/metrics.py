@@ -1,14 +1,17 @@
-"""Stdlib-only service metrics: counters, latency histograms, Prometheus text.
+"""Stdlib-only service metrics: counters, latency sketches, Prometheus text.
 
-The service's ``GET /metrics`` endpoint renders two sources in the
+The service's ``GET /metrics`` endpoint renders these sources in the
 Prometheus text exposition format (version 0.0.4):
 
-* the seven uniform cache-telemetry layers (:mod:`repro.telemetry`) pooled
+* the uniform cache-telemetry layers (:mod:`repro.telemetry`) pooled
   across workers -- every numeric counter becomes a
   ``repro_<key>{layer="<layer>"}`` gauge sample;
-* fixed-bucket latency histograms maintained by the HTTP tier, one per
-  endpoint, rendered with the standard ``_bucket``/``_sum``/``_count``
-  triple and cumulative ``le`` buckets ending in ``+Inf``.
+* the HTTP tier's latencies, each recorded once into a mergeable
+  :class:`~repro.obs.analytics.QuantileSketch` and rendered as a histogram
+  (the standard ``_bucket``/``_sum``/``_count`` triple with cumulative
+  ``le`` buckets at :data:`DEFAULT_LATENCY_BUCKETS` ending in ``+Inf``);
+* quantile gauges (:func:`render_quantile_lines`) over the same sketches
+  and over the workers' analytics sketches.
 
 Everything here is plain stdlib (a few dicts and a lock); no client
 library is required to scrape it -- ``curl host:port/metrics`` works.
@@ -18,14 +21,16 @@ from __future__ import annotations
 
 import re
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+from .analytics import QuantileSketch, merge_analytics_states
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "Counter",
-    "Histogram",
     "MetricsRegistry",
     "render_prometheus",
+    "render_quantile_lines",
     "service_metrics",
     "reset_service_metrics",
 ]
@@ -132,97 +137,23 @@ class Counter:
         return lines
 
 
-class Histogram:
-    """A fixed-bucket histogram in the Prometheus cumulative style.
-
-    ``observe(v)`` increments the first bucket whose upper bound is
-    ``>= v`` (non-cumulative storage); rendering and :meth:`snapshot`
-    produce the *cumulative* counts Prometheus expects, so bucket counts
-    are monotonically non-decreasing by construction.
-    """
-
-    __slots__ = ("buckets", "_counts", "_sum", "_count", "_lock")
-
-    def __init__(self, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> None:
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        if len(set(bounds)) != len(bounds):
-            raise ValueError(f"duplicate bucket bounds: {bounds}")
-        self.buckets = bounds
-        self._counts = [0] * (len(bounds) + 1)  # +1: the +Inf overflow bucket
-        self._sum = 0.0
-        self._count = 0
-        self._lock = threading.Lock()
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        index = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                index = i
-                break
-        with self._lock:
-            self._counts[index] += 1
-            self._sum += value
-            self._count += 1
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def sum(self) -> float:
-        return self._sum
-
-    def snapshot(self) -> Dict[str, object]:
-        """Cumulative bucket counts plus sum/count, as plain data."""
-        with self._lock:
-            counts = list(self._counts)
-            total_sum = self._sum
-            total = self._count
-        cumulative: List[Tuple[float, int]] = []
-        running = 0
-        for bound, bucket_count in zip(self.buckets, counts):
-            running += bucket_count
-            cumulative.append((bound, running))
-        return {
-            "buckets": cumulative,  # [(upper_bound_s, cumulative_count), ...]
-            "sum": total_sum,
-            "count": total,
-        }
+_LabelKey = Tuple[Tuple[str, str], ...]
 
 
 class MetricsRegistry:
-    """Process-local registry of labelled histograms (and counters).
+    """Process-local registry of counters and labelled latency sketches.
 
-    The HTTP tier records one observation per request into
-    ``request_latency_seconds{endpoint=...}``; tests and the ``/metrics``
-    renderer read it back through :meth:`render`.
+    The HTTP tier records each request once, through :meth:`observe`, into
+    ``repro_request_latency_seconds{endpoint=...,method=...}``; the
+    ``/metrics`` renderer reads the sketches back as histograms
+    (:meth:`render`) and as quantile series (:meth:`latency_entries`).
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._histograms: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], Histogram] = {}
+        self._sketches: Dict[Tuple[str, _LabelKey], QuantileSketch] = {}
         self._help: Dict[str, str] = {}
         self._counters: Dict[str, Counter] = {}
-
-    def histogram(
-        self,
-        name: str,
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-        help_text: str = "",
-        **labels: str,
-    ) -> Histogram:
-        name = sanitize_metric_name(name)
-        key = (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
-        with self._lock:
-            histogram = self._histograms.get(key)
-            if histogram is None:
-                histogram = self._histograms[key] = Histogram(buckets)
-            if help_text:
-                self._help.setdefault(name, help_text)
-        return histogram
 
     def counter(self, name: str, help_text: str = "") -> Counter:
         name = sanitize_metric_name(name)
@@ -232,48 +163,91 @@ class MetricsRegistry:
                 counter = self._counters[name] = Counter(name, help_text)
         return counter
 
-    def observe(self, name: str, value: float, **labels: str) -> None:
-        self.histogram(name, **labels).observe(value)
+    def observe(
+        self, name: str, seconds: float, help_text: str = "", **labels: str
+    ) -> None:
+        """Record one latency sample for ``name{labels}``."""
+        key = (
+            sanitize_metric_name(name),
+            tuple(sorted((k, str(v)) for k, v in labels.items())),
+        )
+        with self._lock:
+            sketch = self._sketches.get(key)
+            if sketch is None:
+                sketch = self._sketches[key] = QuantileSketch()
+                if help_text:
+                    self._help.setdefault(key[0], help_text)
+            sketch.observe(seconds)
+
+    def _snapshot(self) -> List[Tuple[str, _LabelKey, QuantileSketch]]:
+        with self._lock:
+            return [
+                (name, label_key, QuantileSketch.from_state(sketch.to_state()))
+                for (name, label_key), sketch in sorted(self._sketches.items())
+            ]
+
+    def latency_entries(self, name: str, label: str, as_name: str) -> List[dict]:
+        """The *name* sketches merged down to their *label* label, as
+        ``latency`` entries of the
+        :meth:`~repro.obs.analytics.WorkloadAnalytics.state` shape under the
+        metric name *as_name* -- what :func:`render_quantile_lines` and
+        ``GET /analytics`` consume."""
+        merged: Dict[str, QuantileSketch] = {}
+        for metric, label_key, sketch in self._snapshot():
+            if metric != name:
+                continue
+            value = dict(label_key).get(label, "")
+            if value in merged:
+                merged[value].merge(sketch.to_state())
+            else:
+                merged[value] = sketch
+        return [
+            {
+                "name": as_name,
+                "label": label,
+                "value": value,
+                "sketch": sketch.to_state(),
+            }
+            for value, sketch in sorted(merged.items())
+        ]
 
     def render(self) -> List[str]:
-        """Exposition lines for everything registered (grouped per metric)."""
+        """Exposition lines: every counter, then every latency sketch as a
+        histogram with cumulative counts at :data:`DEFAULT_LATENCY_BUCKETS`
+        (grouped per metric)."""
         with self._lock:
-            histograms = sorted(self._histograms.items())
             help_texts = dict(self._help)
             counters = sorted(self._counters.items())
         lines: List[str] = []
         for _, counter in counters:
             lines.extend(counter.render())
-        by_name: Dict[str, List[Tuple[Tuple[Tuple[str, str], ...], Histogram]]] = {}
-        for (name, label_key), histogram in histograms:
-            by_name.setdefault(name, []).append((label_key, histogram))
+        by_name: Dict[str, List[Tuple[_LabelKey, QuantileSketch]]] = {}
+        for name, label_key, sketch in self._snapshot():
+            by_name.setdefault(name, []).append((label_key, sketch))
         for name, entries in sorted(by_name.items()):
-            help_text = help_texts.get(name, "")
-            lines.append(f"# HELP {name} {help_text}".rstrip())
+            lines.append(f"# HELP {name} {help_texts.get(name, '')}".rstrip())
             lines.append(f"# TYPE {name} histogram")
-            for label_key, histogram in entries:
+            for label_key, sketch in entries:
                 labels = dict(label_key)
-                snap = histogram.snapshot()
-                for bound, cumulative in snap["buckets"]:
-                    bucket_labels = dict(labels)
-                    bucket_labels["le"] = format_value(bound)
+                counts = sketch.cumulative_counts(DEFAULT_LATENCY_BUCKETS)
+                for bound, cumulative in zip(DEFAULT_LATENCY_BUCKETS, counts):
+                    bucket_labels = dict(labels, le=format_value(bound))
                     lines.append(
                         f"{name}_bucket{format_labels(bucket_labels)} {cumulative}"
                     )
-                inf_labels = dict(labels)
-                inf_labels["le"] = "+Inf"
+                inf_labels = dict(labels, le="+Inf")
                 lines.append(
-                    f"{name}_bucket{format_labels(inf_labels)} {snap['count']}"
+                    f"{name}_bucket{format_labels(inf_labels)} {sketch.count}"
                 )
                 lines.append(
-                    f"{name}_sum{format_labels(labels)} {format_value(snap['sum'])}"
+                    f"{name}_sum{format_labels(labels)} {format_value(sketch.sum)}"
                 )
-                lines.append(f"{name}_count{format_labels(labels)} {snap['count']}")
+                lines.append(f"{name}_count{format_labels(labels)} {sketch.count}")
         return lines
 
     def reset(self) -> None:
         with self._lock:
-            self._histograms.clear()
+            self._sketches.clear()
             self._counters.clear()
             self._help.clear()
 
@@ -368,3 +342,47 @@ def render_prometheus(
     if registry is not None:
         lines.extend(registry.render())
     return "\n".join(lines) + "\n"
+
+
+def render_quantile_lines(
+    states: Sequence[Optional[Mapping]],
+    prefix: str = "repro",
+    quantiles: Sequence[float] = (0.5, 0.95, 0.99),
+) -> str:
+    """Prometheus summary-style quantile gauges for ``GET /metrics``.
+
+    Merges the latency sketches of the given analytics states and renders
+    one contiguous sample block per metric name::
+
+        repro_endpoint_latency_seconds{endpoint="/compile",quantile="0.5"} 0.0021
+
+    Returns ``""`` when no sketch has samples (so the caller can append
+    the result to an exposition body unconditionally).
+    """
+    merged = merge_analytics_states([s for s in states if isinstance(s, Mapping)])
+    by_name: Dict[str, List[Tuple[str, str, QuantileSketch]]] = {}
+    for entry in merged.get("latency") or ():
+        sketch = QuantileSketch.from_state(entry["sketch"])
+        if sketch.count == 0:
+            continue
+        by_name.setdefault(entry["name"], []).append(
+            (entry["label"], str(entry["value"]), sketch)
+        )
+    lines: List[str] = []
+    for name in sorted(by_name):
+        metric = f"{prefix}_{sanitize_metric_name(name)}"
+        lines.append(f"# HELP {metric} mergeable streaming quantiles (DDSketch-style)")
+        lines.append(f"# TYPE {metric} gauge")
+        for label_key, label_value, sketch in sorted(
+            by_name[name], key=lambda item: item[1]
+        ):
+            label = f'{sanitize_metric_name(label_key)}="{escape_label_value(label_value)}"'
+            for q in quantiles:
+                value = sketch.quantile(q)
+                lines.append(
+                    f'{metric}{{{label},quantile="{q:g}"}} {format_value(value)}'
+                )
+            lines.append(
+                f'{metric}_count{{{label}}} {format_value(float(sketch.count))}'
+            )
+    return "\n".join(lines) + "\n" if lines else ""

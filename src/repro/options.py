@@ -29,13 +29,12 @@ the JSON wire format of the compilation service
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace as _dataclass_replace
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from .cost.metrics import CostMetric, resolve_metric
 
-__all__ = ["CompileOptions", "warn_legacy", "warn_legacy_wire"]
+__all__ = ["CompileOptions"]
 
 #: Upper bound on :attr:`CompileOptions.cost_cache_size`.  The field is
 #: client-controlled on the service wire; an unbounded value would let a
@@ -55,41 +54,6 @@ _WIRE_KEYS = (
     "trace",
     "profile",
 )
-
-
-def warn_legacy(old: str, new: str, stacklevel: int = 3) -> None:
-    """Emit the one :class:`DeprecationWarning` of a legacy call-shape shim.
-
-    *stacklevel* defaults to 3 so the warning is attributed to the caller of
-    the shim, never to the shim itself: ``scripts/ci_api_check.py`` runs the
-    test suite with deprecation warnings escalated to errors for ``repro.*``
-    modules, which keeps the library from calling its own deprecated paths
-    while external callers merely see a warning.
-    """
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def warn_legacy_wire(old: str, new: str) -> None:
-    """Like :func:`warn_legacy`, for deprecated *wire payloads*.
-
-    A legacy JSON dict originates from the remote client, not from the code
-    that happens to deserialize it, so the warning is attributed to a
-    synthetic ``legacy_wire`` module rather than to the repro frame calling
-    ``from_dict`` -- the service's HTTP handler and pool workers routinely
-    deserialize client payloads and must not fail the internal-deprecation
-    CI gate on a client's behalf.
-    """
-    warnings.warn_explicit(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        filename="<legacy wire payload>",
-        lineno=0,
-        module="legacy_wire",
-    )
 
 
 @dataclass(frozen=True)

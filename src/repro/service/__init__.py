@@ -20,8 +20,7 @@ long-running, concurrent service:
   :class:`~repro.exec.api.ExecuteResponse` wire model;
 * :mod:`repro.telemetry` -- unified snapshot/aggregation of the five cache
   layers (plan cache, match cache, interner, inference memo, kernel-cost
-  LRU); it has no service dependencies and lives at the package root
-  (``repro.service.telemetry`` remains as a compatibility alias);
+  LRU); it has no service dependencies and lives at the package root;
 * :mod:`repro.persist` -- plan-cache/match-cache snapshots backing warm
   worker boot (``--snapshot-dir`` / ``POST /snapshot``).
 """

@@ -17,9 +17,8 @@ Both serialize to plain JSON-compatible dicts (``to_dict``/``from_dict``),
 which is also the wire format between the pool parent and its worker
 processes -- workers never unpickle custom classes, so the pool works under
 every multiprocessing start method.  On the wire the options travel as a
-nested ``"options"`` object (:meth:`CompileOptions.to_wire`); the pre-PR 4
-flat fields (``metric``/``emit``/``prune``/``use_match_cache``
-at the top level) are still accepted with a :class:`DeprecationWarning`.
+nested ``"options"`` object (:meth:`CompileOptions.to_wire`); any other
+top-level field is rejected as malformed.
 
 :func:`execute_request` is the single execution path shared by every
 executor: it runs the request through a
@@ -33,14 +32,14 @@ from __future__ import annotations
 
 import time
 import uuid
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..algebra.dsl import parse_program
 from ..algebra.expression import signature_repr
 from ..frontend.compiler import Compiler
 from ..obs.analytics import analytics_enabled, workload_analytics
-from ..options import CompileOptions, warn_legacy, warn_legacy_wire
+from ..options import CompileOptions
 
 __all__ = [
     "RequestError",
@@ -54,16 +53,9 @@ __all__ = [
 #: Top-level keys of the current wire format.
 _WIRE_KEYS = {"source", "operands", "assignments", "options", "request_id"}
 
-#: Pre-PR 4 flat option keys, still accepted (deprecated) on the wire and
-#: as constructor keywords.
-_LEGACY_OPTION_KEYS = ("metric", "emit", "prune", "use_match_cache")
-
 
 class RequestError(ValueError):
     """Raised when a request is malformed (maps to HTTP 400)."""
-
-
-_SENTINEL = object()
 
 
 @dataclass
@@ -87,9 +79,7 @@ class CompileRequest:
     targets plus any ``synthetic`` segments the decomposition created.
 
     Pipeline options live in ``options`` (a
-    :class:`~repro.options.CompileOptions`); the pre-PR 4 loose keywords
-    (``metric=``, ``emit=``, ``prune=``, ``use_match_cache=``)
-    are accepted as a deprecated shim.
+    :class:`~repro.options.CompileOptions`).
     """
 
     source: Optional[str] = None
@@ -97,30 +87,6 @@ class CompileRequest:
     assignments: Optional[List[dict]] = None
     options: CompileOptions = field(default_factory=CompileOptions)
     request_id: str = field(default_factory=lambda: uuid.uuid4().hex)
-    # Deprecated loose keywords (PR 3 call-shape); folded into ``options``.
-    metric: InitVar[object] = _SENTINEL
-    emit: InitVar[object] = _SENTINEL
-    prune: InitVar[object] = _SENTINEL
-    use_match_cache: InitVar[object] = _SENTINEL
-
-    def __post_init__(self, metric, emit, prune, use_match_cache) -> None:
-        legacy = {
-            "metric": metric,
-            "emit": emit,
-            "prune": prune,
-            "match_cache": use_match_cache,
-        }
-        legacy = {key: value for key, value in legacy.items() if value is not _SENTINEL}
-        if legacy:
-            warn_legacy(
-                "CompileRequest(metric=..., emit=..., prune=..., "
-                "use_match_cache=...)",
-                "CompileRequest(options=CompileOptions(...))",
-                stacklevel=4,
-            )
-            if "emit" in legacy:
-                legacy["emit"] = tuple(legacy["emit"])
-            self.options = self.options.replace(**legacy)
 
     # ------------------------------------------------------------ validation
     def validate(self) -> None:
@@ -181,34 +147,11 @@ class CompileRequest:
     def from_dict(cls, payload: Mapping) -> "CompileRequest":
         if not isinstance(payload, Mapping):
             raise RequestError("request body must be a JSON object")
-        unknown = set(payload) - _WIRE_KEYS - set(_LEGACY_OPTION_KEYS)
+        unknown = set(payload) - _WIRE_KEYS
         if unknown:
             raise RequestError(f"unknown request fields: {sorted(unknown)}")
-        legacy_present = [key for key in _LEGACY_OPTION_KEYS if key in payload]
-        if legacy_present and "options" in payload:
-            raise RequestError(
-                f"flat option fields {legacy_present} cannot be combined with "
-                f"a nested 'options' object"
-            )
         try:
-            if legacy_present:
-                warn_legacy_wire(
-                    "flat CompileRequest wire fields "
-                    "(metric/emit/prune/use_match_cache)",
-                    "a nested 'options' object (CompileOptions.to_wire())",
-                )
-                options = CompileOptions(
-                    metric=payload.get("metric", "flops"),
-                    emit=tuple(payload.get("emit", ())),
-                    prune=bool(payload.get("prune", True)),
-                    match_cache=bool(payload.get("use_match_cache", True)),
-                )
-            elif "options" in payload:
-                options = CompileOptions.from_wire(payload["options"])
-            else:
-                options = CompileOptions()
-        except RequestError:
-            raise
+            options = CompileOptions.from_wire(payload.get("options", {}))
         except (TypeError, ValueError) as exc:
             raise RequestError(str(exc)) from exc
         request = cls(
@@ -337,8 +280,6 @@ class CompileResponse:
 
 def execute_request(
     request: CompileRequest,
-    catalog=None,
-    metrics=None,
     worker: Optional[int] = None,
     *,
     compiler: Optional[Compiler] = None,
@@ -347,30 +288,13 @@ def execute_request(
 
     *compiler* (keyword-only) is the executor's warm session -- each pool
     worker holds one; omitting it runs on a throwaway session against the
-    default catalog.  The positional parameters keep the pre-session
-    signature ``(request, catalog, metrics, worker)``, so legacy callers
-    bind exactly as before: *catalog*/*metrics* are the deprecated
-    pre-session spelling and build an equivalent session (*metrics* becomes
-    the session's live metric-instance cache, so the caller's name-keyed
-    dict is reused -- and extended in place -- exactly as before).  Errors
-    never propagate -- they are folded into an ``ok=False`` response so a
-    malformed request cannot take down a worker.
+    default catalog.  Errors never propagate -- they are folded into an
+    ``ok=False`` response so a malformed request cannot take down a worker.
     """
     started = time.perf_counter()
     try:
-        if compiler is None and isinstance(catalog, Compiler):
-            # Misplaced session: a Compiler in the catalog slot is a caller
-            # mixing the two signatures; accept it rather than crash.
-            compiler, catalog = catalog, None
         if compiler is None:
-            if catalog is not None or metrics is not None:
-                warn_legacy(
-                    "execute_request(request, catalog=..., metrics=...)",
-                    "execute_request(request, compiler=Compiler(...))",
-                )
-            compiler = Compiler(CompileOptions(catalog=catalog))
-            if metrics is not None:
-                compiler._metrics = metrics
+            compiler = Compiler()
         request.validate()
         source = request.to_source()
         parse_started = time.perf_counter()
@@ -496,10 +420,13 @@ def affinity_key(request: CompileRequest) -> str:
     This parses the request in the dispatching process (the worker parses
     again); that is deliberate -- parsing is orders of magnitude cheaper
     than solving, and no text-level normalization reproduces the
-    name-abstracted signature the match cache is keyed by.  The parse
-    touches the parent's interner/inference caches, both of which are
-    bounded (LRU / oldest-chunk eviction), so front-end memory stays
-    bounded too.
+    name-abstracted signature the match cache is keyed by.  It runs on the
+    HTTP server's threads, concurrently with itself, so it must stay off
+    the shared caches: the parse builds fresh expression nodes and reads
+    their signatures, and touches neither the interner, the inference
+    memo, the match cache nor any kernel-cost memo (those are only reached
+    by solves, which run under ``InProcessExecutor``'s lock or in a
+    single-threaded pool worker).
     """
     try:
         program = parse_program(request.to_source())

@@ -5,9 +5,8 @@ Endpoints (all JSON):
 ``POST /compile``
     body: one :class:`repro.service.api.CompileRequest` dict -- the problem
     (``source`` or ``operands``+``assignments``) plus a nested ``options``
-    object (:meth:`repro.options.CompileOptions.to_wire`; the pre-PR 4 flat
-    ``metric``/``emit``/... fields are still accepted with a
-    ``DeprecationWarning``).  200 with a
+    object (:meth:`repro.options.CompileOptions.to_wire`; any other
+    top-level field is a 400).  200 with a
     :class:`~repro.service.api.CompileResponse` dict on success; 400 when
     the request is malformed or the compilation fails (the body still
     carries the full ``ok=False`` response with its ``error`` field).
@@ -28,7 +27,7 @@ Endpoints (all JSON):
     :class:`~repro.exec.api.ExecuteResponse` dict on success; 400 with the
     full ``ok=False`` response (its ``phase`` names the failing stage) on
     compile/run/validation failure.  Per-phase latencies land in the
-    ``repro_execute_phase_seconds`` histogram on ``/metrics``; validation
+    ``repro_execute_phase_seconds`` sketch on ``/metrics``; validation
     failures increment ``repro_execute_validation_failures`` and emit one
     structured warning line.
 ``POST /profile``
@@ -42,25 +41,23 @@ Endpoints (all JSON):
     configured ``--snapshot-dir`` (:mod:`repro.persist.snapshot`); 200 with
     the write metadata, 409 when no snapshot directory is configured.
 ``GET /stats``
-    pooled cache telemetry (see :mod:`repro.service.telemetry`): per-layer
+    pooled cache telemetry (see :mod:`repro.telemetry`): per-layer
     hit rates, occupancy and eviction counts, per worker and fleet-wide.
 ``GET /metrics``
     Prometheus text exposition (scrape with any Prometheus-compatible
     agent, or plain ``curl``): every pooled cache-telemetry layer as
     ``repro_<counter>{layer=...}`` gauges, the pool counters as
-    ``repro_pool_*`` gauges and the per-endpoint request-latency
-    histograms (``repro_request_latency_seconds``), plus streaming
-    quantile series (``repro_*_latency_seconds{quantile="0.5|0.95|0.99"}``)
-    rendered from the mergeable analytics sketches.
+    ``repro_pool_*`` gauges and the request-latency and execute-phase
+    histograms (``repro_request_latency_seconds{endpoint,method}``,
+    ``repro_execute_phase_seconds{phase}``).  Each latency is recorded
+    once, into a mergeable quantile sketch; the histograms are rendered
+    from it, and so are the quantile series
+    (``repro_*_latency_seconds{quantile="0.5|0.95|0.99"}``).
 ``GET /analytics``
     workload analytics (:mod:`repro.obs.analytics`): top-k heavy-hitter
     request signatures (Space-Saving sketch, merged across pool workers)
     with per-signature request counts, plan-hit rates and mean latencies,
     plus per-phase/per-endpoint latency quantile summaries.
-``GET /timeseries``
-    time-series ring buffers of key counters (requests, plan hits, 429
-    rejections, validation failures) as ``[[unix_time, value], ...]``
-    series at the configured resolution/retention.
 ``GET /healthz``
     liveness: pings every worker (restarting dead ones), 200 when all are
     alive, 503 when degraded.
@@ -91,16 +88,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 from urllib.parse import urlparse
 
-from ..obs.analytics import (
-    analytics_enabled,
-    analytics_report,
-    merge_analytics_states,
-    render_quantile_lines,
-    service_analytics,
-    timeseries_report,
-)
+from ..obs.analytics import analytics_report
 from ..obs.logging import get_logger, log_rate_limited
-from ..obs.metrics import render_prometheus, service_metrics
+from ..obs.metrics import render_prometheus, render_quantile_lines, service_metrics
 from .api import CompileRequest, RequestError
 from .pool import PoolSaturatedError
 
@@ -110,8 +100,8 @@ __all__ = ["ServiceHTTPServer", "start_server", "run_server"]
 #: against unbounded reads; far above any realistic chain spec).
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
-#: Endpoints that get their own latency-histogram label; anything else is
-#: pooled under ``other`` so unknown paths cannot grow label cardinality.
+#: Endpoints that get their own latency label; anything else is pooled
+#: under ``other`` so unknown paths cannot grow label cardinality.
 _KNOWN_ENDPOINTS = frozenset(
     {
         "/healthz",
@@ -122,12 +112,30 @@ _KNOWN_ENDPOINTS = frozenset(
         "/snapshot",
         "/execute",
         "/analytics",
-        "/timeseries",
         "/profile",
     }
 )
 
+#: The HTTP tier's latency sketches as quantile series: (registry metric,
+#: the one label kept, the series name on ``/metrics`` and ``/analytics``).
+_QUANTILE_SERIES = (
+    ("repro_request_latency_seconds", "endpoint", "endpoint_latency_seconds"),
+    ("repro_execute_phase_seconds", "phase", "execute_phase_latency_seconds"),
+)
+
 _LOG = get_logger("service.http")
+
+
+def _http_latency_state() -> dict:
+    """The HTTP tier's latency sketches in the analytics-state shape."""
+    metrics = service_metrics()
+    return {
+        "latency": [
+            entry
+            for series in _QUANTILE_SERIES
+            for entry in metrics.latency_entries(*series)
+        ]
+    }
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -210,7 +218,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
 
         Every response echoes an ``X-Request-Id`` header (the client's, when
         supplied; a fresh one otherwise); every request lands one
-        observation in the per-endpoint latency histogram ``/metrics``
+        observation in the per-endpoint latency sketch ``/metrics``
         renders and one structured access-log line.
         """
         started = time.perf_counter()
@@ -225,18 +233,13 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         finally:
             elapsed = time.perf_counter() - started
             endpoint = path if path in _KNOWN_ENDPOINTS else "other"
-            service_metrics().histogram(
+            service_metrics().observe(
                 "repro_request_latency_seconds",
+                elapsed,
                 help_text="HTTP request latency by endpoint, in seconds",
                 endpoint=endpoint,
                 method=method,
-            ).observe(elapsed)
-            if analytics_enabled():
-                # The quantile-sketch twin of the histogram above: true
-                # p50/p95/p99 per endpoint rather than bucket edges.
-                service_analytics().observe_latency(
-                    "endpoint_latency_seconds", "endpoint", endpoint, elapsed
-                )
+            )
             _LOG.info(
                 "http request",
                 extra={
@@ -260,33 +263,24 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             elif path == "/metrics":
                 self._send_text(200, self._render_metrics(executor))
             elif path == "/analytics":
+                pooled = executor.stats().get("caches") or {}
                 self._send_json(
                     200,
                     analytics_report(
-                        self._pooled_analytics(executor),
-                        service_analytics().state(),
+                        pooled.get("analytics") or {},
+                        _http_latency_state(),
                     ),
                 )
-            elif path == "/timeseries":
-                merged = merge_analytics_states(
-                    [self._pooled_analytics(executor), service_analytics().state()]
-                )
-                self._send_json(200, timeseries_report(merged))
             else:
                 self._send_json(404, {"error": f"unknown path {path!r}"})
         except Exception as exc:  # noqa: BLE001 -- never drop the connection
             self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
 
-    @staticmethod
-    def _pooled_analytics(executor) -> dict:
-        """The fleet-wide ``analytics`` telemetry layer (merged sketches)."""
-        stats = executor.stats()
-        return (stats.get("caches") or {}).get("analytics") or {}
-
     def _render_metrics(self, executor) -> str:
         """The ``GET /metrics`` body: Prometheus text exposition of the
         pooled cache-telemetry layers, the pool counters, the HTTP latency
-        histograms and the streaming-quantile latency series."""
+        histograms and the quantile series of the same sketches plus the
+        workers' analytics sketches."""
         stats = executor.stats()
         gauges = {"service_workers": stats.get("workers", 0)}
         for key, value in (stats.get("pool") or {}).items():
@@ -300,28 +294,22 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         # Quantile gauges use metric names of their own, so appending
         # keeps every metric's samples contiguous as the format requires.
         return body + render_quantile_lines(
-            [
-                (stats.get("caches") or {}).get("analytics"),
-                service_analytics().state(),
-            ]
+            [(stats.get("caches") or {}).get("analytics"), _http_latency_state()]
         )
 
     def _observe_execution(self, response) -> None:
-        """Per-phase latency histograms and validation-failure accounting
+        """Per-phase latency sketches and validation-failure accounting
         for one ``/execute`` response."""
         metrics = service_metrics()
         for key, elapsed in (response.timing or {}).items():
             if not key.endswith("_s"):
                 continue
-            metrics.histogram(
+            metrics.observe(
                 "repro_execute_phase_seconds",
+                elapsed,
                 help_text="POST /execute latency by phase, in seconds",
                 phase=key[:-2],
-            ).observe(elapsed)
-            if analytics_enabled():
-                service_analytics().observe_latency(
-                    "execute_phase_latency_seconds", "phase", key[:-2], elapsed
-                )
+            )
         # Touched on every execute (not just failures) so the exposition
         # shows an explicit zero sample before the first divergence.
         failures = metrics.counter(
@@ -331,8 +319,6 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         failures.inc(0.0)
         if response.validated is False:
             failures.inc()
-            if analytics_enabled():
-                service_analytics().record_point("validation_failures")
             # Token-bucket suppressed: a replayed divergent request must
             # not emit one warning line per request.
             log_rate_limited(
@@ -434,8 +420,6 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             else:
                 self._send_json(404, {"error": f"unknown path {path!r}"})
         except PoolSaturatedError as exc:
-            if analytics_enabled():
-                service_analytics().record_point("rejections_429")
             retry_after = max(1, math.ceil(exc.retry_after))
             self._send_json(
                 429,

@@ -12,7 +12,7 @@ front-end (:mod:`repro.service.http`) and by library users:
     through the execution tier (emit standalone module, import, run,
     validate against the reference) -- the backing of ``POST /execute``;
 ``stats() / reset_stats()``
-    pooled cache telemetry (see :mod:`repro.service.telemetry`);
+    pooled cache telemetry (see :mod:`repro.telemetry`);
 ``ping() / close()``
     liveness probe and shutdown.  Both executors are context managers.
 
@@ -803,8 +803,7 @@ class WorkerPool:
 
     def analytics(self, timeout: float = 30.0) -> dict:
         """Fleet-wide workload-analytics state: every worker's sketches,
-        merged (heavy-hitter counters unite, quantile buckets add,
-        time-series slots align by absolute index)."""
+        merged (heavy-hitter counters unite, quantile buckets add)."""
         return (self.stats(timeout).get("caches") or {}).get("analytics") or {}
 
     def save_snapshot(self, timeout: float = 60.0) -> dict:

@@ -34,7 +34,7 @@ each of which exposes the uniform ``stats()`` / ``reset_stats()`` protocol
 * the **workload analytics** layer
   (:class:`repro.obs.analytics.WorkloadAnalytics`) -- mergeable streaming
   sketches over served traffic: Space-Saving heavy hitters over request
-  signatures, latency quantile sketches and time-series counter rings.
+  signatures and latency quantile sketches.
   Unlike the counter layers this one aggregates by *sketch merging*
   (:func:`repro.obs.analytics.merge_analytics_states`), not by summing,
   so pool workers ship their sketch state through the same ``stats``
@@ -202,9 +202,8 @@ def aggregate(snapshots: Iterable[Mapping[str, Mapping]]) -> Dict[str, dict]:
     """Pool per-worker snapshots into fleet-wide counters per layer.
 
     Counter layers sum; the ``analytics`` layer merges sketch-wise
-    (heavy-hitter counters unite, quantile buckets add, time-series slots
-    align by absolute index) -- summing a sketch state key-by-key would be
-    meaningless.
+    (heavy-hitter counters unite, quantile buckets add) -- summing a
+    sketch state key-by-key would be meaningless.
     """
     from .obs.analytics import merge_analytics_states
 

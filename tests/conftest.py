@@ -2,11 +2,28 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.algebra import Matrix, Property, Vector
 from repro.kernels import default_catalog
+
+_TESTS_DIR = Path(__file__).resolve().parent
+
+#: A DeprecationWarning attributed to a ``repro.*`` frame -- repro code
+#: calling a NumPy/SciPy API its maintainers deprecated -- fails the test
+#: instead of scrolling past in the warnings summary.
+_REPRO_DEPRECATIONS_ARE_ERRORS = pytest.mark.filterwarnings(
+    r"error::DeprecationWarning:repro\..*"
+)
+
+
+def pytest_collection_modifyitems(config, items):
+    for item in items:
+        if _TESTS_DIR in Path(item.path).resolve().parents:
+            item.add_marker(_REPRO_DEPRECATIONS_ARE_ERRORS)
 
 
 @pytest.fixture

@@ -2,16 +2,15 @@
 
 Covers the PR 10 acceptance criteria:
 
-* the three sketch structures (Space-Saving heavy hitters, DDSketch-style
-  log-bucket quantiles, wall-clock-aligned counter rings) are correct and
-  **mergeable**: N workers seeing disjoint traffic pool to the same top-k
-  and quantiles a single stream would produce;
+* the two sketch structures (Space-Saving heavy hitters, DDSketch-style
+  log-bucket quantiles) are correct and **mergeable**: N workers seeing
+  disjoint traffic pool to the same top-k and quantiles a single stream
+  would produce;
 * ``execute_request`` records name-abstracted request signatures with
   plan-hit provenance, and the state travels across the worker-pool
   process boundary through the existing telemetry ``stats`` path;
-* the HTTP front-end serves ``GET /analytics``, ``GET /timeseries``,
-  quantile gauge series on ``GET /metrics`` and collapsed flamegraph
-  stacks on ``POST /profile``;
+* the HTTP front-end serves ``GET /analytics``, quantile gauge series on
+  ``GET /metrics`` and collapsed flamegraph stacks on ``POST /profile``;
 * profiling hooks (``options.profile`` / ``repro.obs.profile``) return
   top-function tables and ``flamegraph.pl``-compatible collapsed stacks;
 * repeated structured warnings are rate-limited by the token-bucket
@@ -31,7 +30,6 @@ import pytest
 
 from repro.obs import reset_service_metrics
 from repro.obs.analytics import (
-    CounterRing,
     QuantileSketch,
     SpaceSavingSketch,
     WorkloadAnalytics,
@@ -39,9 +37,6 @@ from repro.obs.analytics import (
     analytics_enabled,
     analytics_report,
     merge_analytics_states,
-    render_quantile_lines,
-    service_analytics,
-    timeseries_report,
     workload_analytics,
 )
 from repro.obs.logging import (
@@ -50,6 +45,7 @@ from repro.obs.logging import (
     get_logger,
     log_rate_limited,
 )
+from repro.obs.metrics import render_quantile_lines
 from repro.obs.profile import (
     collapsed_stacks,
     profile_call,
@@ -202,57 +198,19 @@ class TestQuantileSketch:
 
 
 # ---------------------------------------------------------------------------
-# Counter rings
-# ---------------------------------------------------------------------------
-
-class TestCounterRing:
-    def test_record_and_points_align_to_slots(self):
-        ring = CounterRing(resolution_s=5.0, slots=10)
-        ring.record(now=100.0)
-        ring.record(now=102.0)
-        ring.record(value=3.0, now=107.0)
-        assert ring.points() == [[100.0, 2.0], [105.0, 3.0]]
-        assert ring.total() == 5.0
-
-    def test_retention_drops_old_slots(self):
-        ring = CounterRing(resolution_s=1.0, slots=3)
-        for t in range(10):
-            ring.record(now=float(t))
-        points = ring.points()
-        assert len(points) == 3
-        assert points[0][0] == 7.0  # only the newest 3 slots survive
-
-    def test_cross_process_merge_aligns_absolute_slots(self):
-        a = CounterRing(resolution_s=5.0, slots=100)
-        b = CounterRing(resolution_s=5.0, slots=100)
-        a.record(now=50.0)
-        b.record(now=50.0)
-        b.record(now=60.0)
-        a.merge(b.to_state())
-        assert a.points() == [[50.0, 2.0], [60.0, 1.0]]
-
-    def test_state_roundtrip_through_json(self):
-        ring = CounterRing(resolution_s=2.0, slots=5)
-        ring.record(now=11.0)
-        clone = CounterRing.from_state(json.loads(json.dumps(ring.to_state())))
-        assert clone.points() == ring.points()
-
-
-# ---------------------------------------------------------------------------
 # WorkloadAnalytics bundle + state merging
 # ---------------------------------------------------------------------------
 
 class TestWorkloadAnalytics:
     def test_record_and_state(self):
         analytics = WorkloadAnalytics()
-        analytics.record_request("sig-a", plan_hit=False, latency_s=0.02, now=10.0)
-        analytics.record_request("sig-a", plan_hit=True, latency_s=0.01, now=11.0)
+        analytics.record_request("sig-a", plan_hit=False, latency_s=0.02)
+        analytics.record_request("sig-a", plan_hit=True, latency_s=0.01)
         analytics.observe_latency("compile_phase_latency_seconds", "phase", "solve", 0.015)
         state = analytics.state()
         assert state["layer"] == "analytics"
         assert state["requests"] == 2 and state["plan_hits"] == 1
         assert state["tracked_signatures"] == 1
-        assert state["rings"]["requests"]["values"]
         assert state["latency"][0]["value"] == "solve"
 
     def test_merge_disjoint_states_matches_single_stream(self):
@@ -263,10 +221,7 @@ class TestWorkloadAnalytics:
                 signature = f"sig-{index}-{i % 2}"
                 for target in (shard, reference):
                     target.record_request(
-                        signature,
-                        plan_hit=(i > 0),
-                        latency_s=0.001 * (i + 1),
-                        now=100.0 + i,
+                        signature, plan_hit=(i > 0), latency_s=0.001 * (i + 1)
                     )
                     target.observe_latency(
                         "compile_phase_latency_seconds",
@@ -286,7 +241,6 @@ class TestWorkloadAnalytics:
         # Summation order differs between the merged and single-stream
         # paths, so compare the summaries to float tolerance.
         assert merged_solve == pytest.approx(expected_solve)
-        assert timeseries_report(merged)["series"] == timeseries_report(expected)["series"]
 
     def test_merge_empty_list_and_single_state(self):
         assert merge_analytics_states([])["requests"] == 0
@@ -404,7 +358,6 @@ class TestPoolMerging:
 def analytics_service():
     reset_service_metrics()
     workload_analytics().reset()
-    service_analytics().reset()
     executor = InProcessExecutor()
     server, thread = start_server(executor, port=0)
     base = f"http://127.0.0.1:{server.server_address[1]}"
@@ -414,7 +367,6 @@ def analytics_service():
     executor.close()
     reset_service_metrics()
     workload_analytics().reset()
-    service_analytics().reset()
 
 
 def _request(url, payload=None):
@@ -442,15 +394,6 @@ class TestAnalyticsEndpoints:
         assert "plan_hit_rate" in top[0] and "mean_latency_s" in top[0]
         # Front-end endpoint latencies ride along.
         assert "endpoint_latency_seconds" in report["latency"]
-
-    def test_timeseries_endpoint_has_request_series(self, analytics_service):
-        _request(f"{analytics_service}/compile", {"source": source_for("ts")})
-        status, _, body = _request(f"{analytics_service}/timeseries")
-        assert status == 200
-        payload = json.loads(body)
-        series = payload["series"]
-        assert sum(v for _, v in series["requests"]) >= 1
-        assert payload["resolution_s"] > 0 and payload["slots"] >= 1
 
     def test_metrics_carries_quantile_gauges(self, analytics_service):
         _request(f"{analytics_service}/compile", {"source": source_for("q")})

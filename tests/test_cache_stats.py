@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import telemetry
 from repro.algebra import Matrix, Property
 from repro.algebra.inference import PropertyInference, inference_engine
 from repro.algebra.interning import ExpressionInterner, default_interner
@@ -18,7 +19,7 @@ from repro.algebra.operators import Times
 from repro.cost.metrics import FlopCount
 from repro.core import GMCAlgorithm
 from repro.kernels.catalog import KernelCatalog, build_default_kernels
-from repro.service import telemetry
+from repro.options import CompileOptions
 
 REQUIRED_KEYS = {"layer", "size", "max_entries", "hits", "misses", "hit_rate", "evictions"}
 
@@ -32,7 +33,7 @@ class TestUniformProtocol:
     def test_all_four_layers_speak_the_protocol(self):
         catalog = KernelCatalog(build_default_kernels(), name="stats-test")
         metric = FlopCount()
-        GMCAlgorithm(catalog=catalog, metric=metric).solve(chain("U"))
+        GMCAlgorithm(CompileOptions(catalog=catalog, metric=metric)).solve(chain("U"))
         layers = [
             catalog.match_cache,
             default_interner(),
@@ -52,7 +53,7 @@ class TestUniformProtocol:
     def test_telemetry_snapshot_and_aggregate(self):
         catalog = KernelCatalog(build_default_kernels(), name="stats-test-2")
         metric = FlopCount()
-        GMCAlgorithm(catalog=catalog, metric=metric).solve(chain("V"))
+        GMCAlgorithm(CompileOptions(catalog=catalog, metric=metric)).solve(chain("V"))
         snap = telemetry.snapshot(catalog, {"flops": metric})
         assert set(telemetry.CACHE_LAYERS) <= set(snap)
         pooled = telemetry.aggregate([snap, snap])
@@ -146,7 +147,7 @@ class TestKernelCostStats:
     def test_cost_cache_counts_hits_and_evictions(self):
         metric = FlopCount()
         metric.cost_cache_size = 4
-        algorithm = GMCAlgorithm(metric=metric)
+        algorithm = GMCAlgorithm(CompileOptions(metric=metric))
         algorithm.solve(chain("C", 5))
         stats = metric.stats()
         assert stats["misses"] > 0

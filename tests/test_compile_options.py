@@ -67,6 +67,23 @@ class TestCompileOptions:
             CompileOptions.from_wire({field: "gmc"})
 
     @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: GMCAlgorithm(metric="flops"),
+            lambda: GMCAlgorithm(catalog=None),
+            lambda: GMCAlgorithm(KernelCatalog(build_default_kernels())),
+            lambda: compile_source(SOURCE, metric="time"),
+            lambda: compile_source(SOURCE, catalog=None),
+        ],
+        ids=["gmc-metric", "gmc-catalog", "gmc-positional-catalog",
+             "source-metric", "source-catalog"],
+    )
+    def test_loose_option_keywords_are_rejected(self, call):
+        """Options travel only as one CompileOptions value."""
+        with pytest.raises(TypeError):
+            call()
+
+    @pytest.mark.parametrize(
         "bad",
         [
             {"metric": "nonsense"},
@@ -249,36 +266,6 @@ class TestCompilerSession:
         assert compiler.compile(SOURCE, catalog=compiler.catalog).assignment(
             "X"
         ).kernel_sequence == ["TRMM", "POSV"]
-
-    def test_legacy_name_keyed_metrics_dict_is_honoured(self):
-        """execute_request(metrics={'flops': m}) must actually reuse m."""
-        import warnings
-
-        metric = FlopCount()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            response = execute_request(
-                CompileRequest(source=SOURCE), metrics={"flops": metric}
-            )
-        assert response.ok
-        assert metric._cost_misses > 0 or metric._cost_hits > 0
-
-    def test_legacy_positional_catalog_still_compiles(self):
-        """The pre-session signature was execute_request(request, catalog);
-        a catalog in positional second place must not be mistaken for a
-        Compiler and fold into an ok=False response."""
-        import warnings
-
-        from repro.kernels import default_catalog
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            response = execute_request(
-                CompileRequest(source=SOURCE),
-                default_catalog(include_specialized=False),
-            )
-        assert response.ok, response.error
-        assert "POSV" not in response.assignment("X").kernels
 
     def test_metric_instance_cache_is_bounded(self):
         """A client cycling cost_cache_size values must not grow a worker's

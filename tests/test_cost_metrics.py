@@ -20,6 +20,7 @@ from repro.cost import (
 )
 from repro.kernels import default_catalog
 from repro.matching import Substitution
+from repro.options import CompileOptions
 
 
 def _gemm_case(m=100, k=80, n=60):
@@ -174,7 +175,9 @@ class TestVectorMetric:
         a = Matrix("A", 20, 20, {Property.SPD})
         b = Matrix("B", 20, 10)
         metric = VectorMetric([FlopCount(), AccuracyMetric()])
-        solution = GMCAlgorithm(metric=metric).solve(Times(Inverse(a), b))
+        solution = GMCAlgorithm(CompileOptions(metric=metric)).solve(
+            Times(Inverse(a), b)
+        )
         assert solution.computable
         assert isinstance(solution.optimal_cost, tuple)
 

@@ -74,8 +74,7 @@ class TestModuleEmitter:
         source = _compile(CHAIN_SOURCE).emit("module")
         assert "import repro" not in source
         assert "from repro" not in source
-        for constant in ("ENTRYPOINT", "ARGUMENTS", "RESULT", "OPERANDS",
-                         "IMPLEMENTATION", "NUMBA_IMPLEMENTATION"):
+        for constant in ("ENTRYPOINT", "ARGUMENTS", "RESULT", "OPERANDS"):
             assert constant in source
 
     def test_emit_module_renders_the_whole_dag_once(self):
@@ -117,7 +116,7 @@ class TestModuleEmitter:
             "expected = np.linalg.inv(A) @ B @ C.T\n"
             "assert np.allclose(value, expected, rtol=1e-8, atol=1e-10)\n"
             "assert mod.RESULT == 'X'\n"
-            "print('STANDALONE_OK', mod.IMPLEMENTATION)\n"
+            "print('STANDALONE_OK')\n"
         )
         # No repo paths in the child: the emitted module must carry
         # everything it needs.
@@ -141,13 +140,13 @@ class TestModuleEmitter:
             namespace[namespace["ENTRYPOINT"]](A=value), value
         )
 
-    def test_numba_gracefully_absent(self):
-        # The container has no numba: the probe block must degrade.
-        source = _compile(CHAIN_SOURCE).emit("module")
+    @pytest.mark.parametrize("source", [CHAIN_SOURCE, DAG_SOURCE])
+    def test_one_numpy_entrypoint(self, source):
+        emitted = _compile(source).emit("module")
         namespace: dict = {}
-        exec(compile(source, "<module>", "exec"), namespace)
-        assert namespace["NUMBA_IMPLEMENTATION"] is None
-        assert namespace["IMPLEMENTATION"] == "numpy"
+        exec(compile(emitted, "<module>", "exec"), namespace)
+        assert "numba" not in emitted
+        assert emitted.count(f"def {namespace['ENTRYPOINT']}(") == 1
 
 
 class TestPlanSignature:
@@ -348,8 +347,6 @@ class TestRunExecuteRequest:
 
     def test_validation_failure_counts_and_reports(self):
         class _LyingModule:
-            implementation = "numpy"
-
             def run(self, environment):
                 return np.zeros((30, 20))
 

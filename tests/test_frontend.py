@@ -7,6 +7,7 @@ import pytest
 
 from repro.frontend import CompilationResult, compile_source
 from repro.kernels import default_catalog
+from repro.options import CompileOptions
 
 SOURCE = """
 Matrix A (200, 200) <SPD>
@@ -67,12 +68,13 @@ class TestCompileSource:
         assert "TRMM -> POSV" in report
 
     def test_metric_selection(self):
-        flops_result = compile_source(SOURCE, metric="flops")
-        time_result = compile_source(SOURCE, metric="time")
+        flops_result = compile_source(SOURCE, options=CompileOptions(metric="flops"))
+        time_result = compile_source(SOURCE, options=CompileOptions(metric="time"))
         assert flops_result.assignment("X").flops <= time_result.assignment("X").flops + 1e-6
 
     def test_custom_catalog(self):
-        generic = compile_source(SOURCE, catalog=default_catalog(include_specialized=False))
+        generic_catalog = default_catalog(include_specialized=False)
+        generic = compile_source(SOURCE, options=CompileOptions(catalog=generic_catalog))
         assert "POSV" not in generic.assignment("X").kernel_sequence
 
     def test_generated_numpy_code_executes(self):

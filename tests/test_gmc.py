@@ -48,13 +48,17 @@ class TestEquivalenceWithClassicDP:
     )
     def test_same_optimal_flops_as_dp(self, sizes):
         dp = MatrixChainDP(sizes)
-        solution = GMCAlgorithm(metric=FlopCount()).solve(self._chain(sizes))
+        solution = GMCAlgorithm(CompileOptions(metric=FlopCount())).solve(
+            self._chain(sizes)
+        )
         assert solution.optimal_cost == pytest.approx(dp.optimal_cost)
 
     @pytest.mark.parametrize("sizes", [[10, 100, 5, 50], [30, 35, 15, 5, 10, 20, 25]])
     def test_same_result_with_gemm_only_catalog(self, sizes):
         dp = MatrixChainDP(sizes)
-        solution = GMCAlgorithm(catalog=mcp_catalog()).solve(self._chain(sizes))
+        solution = GMCAlgorithm(CompileOptions(catalog=mcp_catalog())).solve(
+            self._chain(sizes)
+        )
         assert solution.optimal_cost == pytest.approx(dp.optimal_cost)
 
     def test_parenthesization_matches_dp_choice(self):
@@ -147,9 +151,9 @@ class TestPropertyPropagation:
     def test_section32_example_without_properties_prefers_right_first(self):
         a = Matrix("A", 20, 20)
         b = Matrix("B", 20, 15)
-        generic = GMCAlgorithm(catalog=default_catalog(include_specialized=False)).solve(
-            Times(Transpose(a), a, b)
-        )
+        generic = GMCAlgorithm(
+            CompileOptions(catalog=default_catalog(include_specialized=False))
+        ).solve(Times(Transpose(a), a, b))
         assert generic.parenthesization() == "(A^T * (A * B))"
         assert generic.total_flops == pytest.approx(24000)
 
@@ -187,7 +191,9 @@ class TestCompleteness:
         b = Matrix("B", 20, 20, {Property.NON_SINGULAR})
         c = Matrix("C", 20, 10)
         catalog = default_catalog(include_combined_inverse=False)
-        solution = GMCAlgorithm(catalog=catalog).solve(Times(Inverse(a), Inverse(b), c))
+        solution = GMCAlgorithm(CompileOptions(catalog=catalog)).solve(
+            Times(Inverse(a), Inverse(b), c)
+        )
         assert solution.computable
         assert solution.parenthesization() == "(A^-1 * (B^-1 * C))"
         assert solution.kernel_sequence() == ["GESV", "GESV"]
@@ -196,7 +202,9 @@ class TestCompleteness:
         a = Matrix("A", 20, 20, {Property.NON_SINGULAR})
         b = Matrix("B", 20, 20, {Property.NON_SINGULAR})
         catalog = default_catalog(include_combined_inverse=False)
-        solution = GMCAlgorithm(catalog=catalog).solve(Times(Inverse(a), Inverse(b)))
+        solution = GMCAlgorithm(CompileOptions(catalog=catalog)).solve(
+            Times(Inverse(a), Inverse(b))
+        )
         assert not solution.computable
         assert solution.metric.is_infinite(solution.optimal_cost)
         with pytest.raises(UncomputableChainError):
@@ -214,7 +222,9 @@ class TestCompleteness:
         b = Matrix("B", 20, 20, {Property.NON_SINGULAR})
         catalog = default_catalog(include_combined_inverse=False)
         with pytest.raises(UncomputableChainError):
-            GMCAlgorithm(catalog=catalog).generate(Times(Inverse(a), Inverse(b)))
+            GMCAlgorithm(CompileOptions(catalog=catalog)).generate(
+                Times(Inverse(a), Inverse(b))
+            )
 
 
 class TestSolutionObject:
@@ -268,13 +278,17 @@ class TestMetricsChangeSolutions:
         a = Matrix("A", 10, 20)
         b = Matrix("B", 20, 30)
         c = Matrix("C", 30, 5)
-        solution = GMCAlgorithm(metric=KernelCountMetric()).solve(Times(a, b, c))
+        solution = GMCAlgorithm(CompileOptions(metric=KernelCountMetric())).solve(
+            Times(a, b, c)
+        )
         assert solution.optimal_cost == 2.0
 
     def test_time_metric_produces_computable_solution(self):
         a = Matrix("A", 64, 64, {Property.SPD})
         b = Matrix("B", 64, 32)
-        solution = GMCAlgorithm(metric=PerformanceMetric()).solve(Times(Inverse(a), b))
+        solution = GMCAlgorithm(CompileOptions(metric=PerformanceMetric())).solve(
+            Times(Inverse(a), b)
+        )
         assert solution.computable
         assert solution.optimal_cost > 0.0
 
@@ -282,7 +296,9 @@ class TestMetricsChangeSolutions:
         a = Matrix("A", 16, 8)
         b = Matrix("B", 8, 4)
         for metric in ("flops", "time", "memory", "accuracy", "kernels"):
-            assert GMCAlgorithm(metric=metric).solve(Times(a, b)).computable
+            assert GMCAlgorithm(CompileOptions(metric=metric)).solve(
+                Times(a, b)
+            ).computable
 
 
 class TestInputHandling:
@@ -370,7 +386,9 @@ class TestSolutionCallMaterialization:
         a = Matrix("A", 8, 8, {Property.NON_SINGULAR})
         b = Matrix("B", 8, 8, {Property.NON_SINGULAR})
         catalog = default_catalog(include_combined_inverse=False)
-        solution = GMCAlgorithm(catalog=catalog).solve(Times(Inverse(a), Inverse(b)))
+        solution = GMCAlgorithm(CompileOptions(catalog=catalog)).solve(
+            Times(Inverse(a), Inverse(b))
+        )
         with pytest.raises(UncomputableChainError):
             solution.kernel_calls()
 
@@ -390,8 +408,8 @@ class TestSplitPruning:
         chain = Times(
             *[Matrix(f"M{i}", sizes[i], sizes[i + 1]) for i in range(len(sizes) - 1)]
         )
-        pruned = GMCAlgorithm(prune=True).solve(chain)
-        exhaustive = GMCAlgorithm(prune=False).solve(chain)
+        pruned = GMCAlgorithm(CompileOptions(prune=True)).solve(chain)
+        exhaustive = GMCAlgorithm(CompileOptions(prune=False)).solve(chain)
         assert float(pruned.optimal_cost) == pytest.approx(
             float(exhaustive.optimal_cost)
         )

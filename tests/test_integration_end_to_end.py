@@ -18,6 +18,7 @@ from repro.cost import PerformanceMetric, VectorMetric, FlopCount, AccuracyMetri
 from repro.experiments.harness import GMC_NAME, HarnessConfig, run_experiment, run_problem
 from repro.experiments.workload import named_examples
 from repro.kernels import default_catalog
+from repro.options import CompileOptions
 from repro.runtime import allclose, execute_program, instantiate_expression
 
 
@@ -102,7 +103,7 @@ class TestMetricsEndToEnd:
         b = Matrix("B", 40, 40, {Property.SPD})
         c = Matrix("C", 40, 20)
         metric = VectorMetric([FlopCount(), AccuracyMetric()])
-        solution = GMCAlgorithm(metric=metric).solve(Times(a.I, b, c))
+        solution = GMCAlgorithm(CompileOptions(metric=metric)).solve(Times(a.I, b, c))
         assert solution.computable
         assert isinstance(solution.optimal_cost, tuple)
         assert "POSV" in solution.kernel_sequence()
@@ -110,8 +111,10 @@ class TestMetricsEndToEnd:
     def test_time_metric_and_flop_metric_agree_on_kernels_for_spd_solve(self):
         a = Matrix("A", 300, 300, {Property.SPD})
         b = Matrix("B", 300, 100)
-        flops_solution = GMCAlgorithm(metric="flops").solve(Times(a.I, b))
-        time_solution = GMCAlgorithm(metric="time").solve(Times(a.I, b))
+        flops_solution = GMCAlgorithm(CompileOptions(metric="flops")).solve(
+            Times(a.I, b)
+        )
+        time_solution = GMCAlgorithm(CompileOptions(metric="time")).solve(Times(a.I, b))
         assert flops_solution.kernel_sequence() == time_solution.kernel_sequence() == ["POSV"]
 
 
@@ -184,7 +187,7 @@ class TestNumericalEdgeCases:
         a = Matrix("A", 10, 10, {Property.NON_SINGULAR})
         b = Matrix("B", 10, 10, {Property.NON_SINGULAR})
         catalog = default_catalog(include_combined_inverse=False)
-        solution = GMCAlgorithm(catalog=catalog).solve(Times(a.I, b.I))
+        solution = GMCAlgorithm(CompileOptions(catalog=catalog)).solve(Times(a.I, b.I))
         assert math.isinf(solution.optimal_cost)
         assert "uncomputable" not in solution.parenthesization() or True
         assert "computable:       False" in str(solution)

@@ -284,7 +284,7 @@ class TestEndToEndEquivalence:
     @pytest.mark.parametrize("seed", [11, 23, 57])
     def test_bottom_up_solutions_identical(self, seed):
         catalog = _fresh_catalog()
-        fast = GMCAlgorithm(catalog=catalog)
+        fast = GMCAlgorithm(CompileOptions(catalog=catalog))
         # match_cache=False also bypasses the per-solve decision memo.
         reference = GMCAlgorithm(
             CompileOptions(catalog=catalog, prune=False, match_cache=False)
@@ -326,7 +326,7 @@ class TestEndToEndEquivalence:
         catalog = _fresh_catalog(include_combined_inverse=False)
         a = Matrix("A", 8, 8, {Property.NON_SINGULAR})
         b = Matrix("B", 8, 8, {Property.NON_SINGULAR})
-        solution = GMCAlgorithm(catalog=catalog).solve(a.I * b.I)
+        solution = GMCAlgorithm(CompileOptions(catalog=catalog)).solve(a.I * b.I)
         assert not solution.computable
         assert math.isinf(solution.optimal_cost)
         # Dead cells materialize no temporary.
@@ -334,7 +334,7 @@ class TestEndToEndEquivalence:
 
     def test_repeated_solve_hits_the_cache(self):
         catalog = _fresh_catalog()
-        algorithm = GMCAlgorithm(catalog=catalog)
+        algorithm = GMCAlgorithm(CompileOptions(catalog=catalog))
         problem = _random_chains(1, seed=5, min_length=8, max_length=8)[0]
         algorithm.solve(problem.expression)
         catalog.match_cache.reset_stats()

@@ -21,6 +21,7 @@ from repro.cost import (
     resolve_metric,
 )
 from repro.kernels.catalog import KernelCatalog, build_default_kernels
+from repro.options import CompileOptions
 
 
 @pytest.fixture
@@ -46,7 +47,9 @@ class TestVectorMetricThroughGMC:
         metric = VectorMetric([FlopCount(), AccuracyMetric()])
         a = Matrix("A", 8, 8, {Property.NON_SINGULAR})
         b = Matrix("B", 8, 8, {Property.NON_SINGULAR})
-        solution = GMCAlgorithm(catalog=no_gesv2_catalog, metric=metric).solve(
+        solution = GMCAlgorithm(
+            CompileOptions(catalog=no_gesv2_catalog, metric=metric)
+        ).solve(
             a.I * b.I
         )
         assert not solution.computable
@@ -57,17 +60,22 @@ class TestVectorMetricThroughGMC:
 
     def test_flops_component_matches_scalar_solve(self, fresh_catalog):
         chain = _chain(30, 35, 15, 5, 10, 20, 25)
+        vector_metric = VectorMetric([FlopCount(), AccuracyMetric()])
         vector = GMCAlgorithm(
-            catalog=fresh_catalog, metric=VectorMetric([FlopCount(), AccuracyMetric()])
+            CompileOptions(catalog=fresh_catalog, metric=vector_metric)
         ).solve(chain)
-        scalar = GMCAlgorithm(catalog=fresh_catalog, metric=FlopCount()).solve(chain)
+        scalar = GMCAlgorithm(
+            CompileOptions(catalog=fresh_catalog, metric=FlopCount())
+        ).solve(chain)
         assert vector.computable
         assert vector.optimal_cost[0] == pytest.approx(float(scalar.optimal_cost))
         assert vector.parenthesization() == scalar.parenthesization()
 
     def test_vector_costs_accumulate_componentwise(self, fresh_catalog):
         metric = VectorMetric([FlopCount(), AccuracyMetric()])
-        solution = GMCAlgorithm(catalog=fresh_catalog, metric=metric).solve(
+        solution = GMCAlgorithm(
+            CompileOptions(catalog=fresh_catalog, metric=metric)
+        ).solve(
             _chain(10, 100, 5, 50)
         )
         totals = [0.0, 0.0]
@@ -87,10 +95,12 @@ class TestCustomMetricThroughGMC:
             return kernel.flops(substitution)
 
         metric = CustomMetric(flops_cost, name="counted-flops", cacheable=True)
-        algorithm = GMCAlgorithm(catalog=fresh_catalog, metric=metric)
+        algorithm = GMCAlgorithm(CompileOptions(catalog=fresh_catalog, metric=metric))
         chain = _chain(30, 35, 15, 5, 10, 20, 25)
         first = algorithm.solve(chain)
-        reference = GMCAlgorithm(catalog=fresh_catalog, metric=FlopCount()).solve(chain)
+        reference = GMCAlgorithm(
+            CompileOptions(catalog=fresh_catalog, metric=FlopCount())
+        ).solve(chain)
         assert first.computable
         assert float(first.optimal_cost) == pytest.approx(float(reference.optimal_cost))
         assert first.parenthesization() == reference.parenthesization()
@@ -112,7 +122,7 @@ class TestCustomMetricThroughGMC:
 
         metric = CustomMetric(counting, name="stateful")
         assert not metric.cacheable
-        algorithm = GMCAlgorithm(catalog=fresh_catalog, metric=metric)
+        algorithm = GMCAlgorithm(CompileOptions(catalog=fresh_catalog, metric=metric))
         chain = _chain(10, 100, 5, 50)
         algorithm.solve(chain)
         evaluations_after_first = len(calls)

@@ -4,7 +4,8 @@ Covers the PR 8 acceptance criteria:
 
 * ``GET /metrics`` returns well-formed Prometheus text exposition carrying
   all seven cache-telemetry layers and the per-endpoint latency histograms
-  (with monotone cumulative buckets ending in ``le="+Inf"``);
+  rendered from the latency sketches (monotone cumulative buckets ending
+  in ``le="+Inf"``, one sample per request whether or not analytics is on);
 * request ids propagate: header -> request wire -> pool worker -> response
   body -> echoed ``X-Request-Id`` header;
 * a traced multi-segment DAG compile yields a span tree with per-segment
@@ -13,9 +14,11 @@ Covers the PR 8 acceptance criteria:
 
 from __future__ import annotations
 
+import http.client
 import io
 import json
 import logging
+import random
 import re
 import urllib.request
 
@@ -24,9 +27,10 @@ import pytest
 from repro.frontend import compile_source
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
-    Histogram,
     JsonFormatter,
     MetricsRegistry,
+    QuantileSketch,
+    analytics_disabled,
     Tracer,
     explain_result,
     get_logger,
@@ -130,40 +134,45 @@ class TestTracer:
 # Metrics primitives
 # ---------------------------------------------------------------------------
 
-class TestHistogram:
+class TestSketchHistogram:
     def test_cumulative_buckets_are_monotone(self):
-        histogram = Histogram()
+        sketch = QuantileSketch()
         for value in (0.00005, 0.0003, 0.0003, 0.07, 3.0, 100.0):
-            histogram.observe(value)
-        snap = histogram.snapshot()
-        counts = [count for _, count in snap["buckets"]]
+            sketch.observe(value)
+        counts = sketch.cumulative_counts(DEFAULT_LATENCY_BUCKETS)
         assert counts == sorted(counts), "cumulative counts must be monotone"
-        bounds = [bound for bound, _ in snap["buckets"]]
-        assert bounds == sorted(bounds)
+        assert list(DEFAULT_LATENCY_BUCKETS) == sorted(DEFAULT_LATENCY_BUCKETS)
         # The 100.0 observation lands only in the +Inf overflow bucket.
-        assert snap["count"] == 6 and counts[-1] == 5
-        assert snap["sum"] == pytest.approx(103.07065)
+        assert sketch.count == 6 and counts[-1] == 5
+        assert sketch.sum == pytest.approx(103.07065)
+
+    def test_bucket_counts_within_sketch_accuracy(self):
+        rng = random.Random(7)
+        values = [10 ** rng.uniform(-5, 1.5) for _ in range(2000)]
+        sketch = QuantileSketch()
+        for value in values:
+            sketch.observe(value)
+        counts = sketch.cumulative_counts(DEFAULT_LATENCY_BUCKETS)
+        for bound, count in zip(DEFAULT_LATENCY_BUCKETS, counts):
+            at_most = sum(1 for v in values if v <= bound)
+            within_gamma = sum(1 for v in values if v <= bound * sketch.gamma)
+            assert at_most <= count <= within_gamma, bound
 
     def test_default_buckets_cover_latency_decades(self):
         assert DEFAULT_LATENCY_BUCKETS[0] <= 1e-4
         assert DEFAULT_LATENCY_BUCKETS[-1] >= 10.0
 
-    def test_rejects_empty_and_duplicate_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram(buckets=())
-        with pytest.raises(ValueError):
-            Histogram(buckets=(0.1, 0.1))
-
 
 class TestRegistryAndExposition:
     def test_registry_renders_histogram_triple(self):
         registry = MetricsRegistry()
-        registry.histogram(
+        registry.observe(
             "repro_request_latency_seconds",
+            0.02,
             help_text="latency",
             endpoint="/compile",
             method="POST",
-        ).observe(0.02)
+        )
         text = "\n".join(registry.render()) + "\n"
         assert_well_formed_exposition(text)
         assert "# TYPE repro_request_latency_seconds histogram" in text
@@ -370,6 +379,48 @@ class TestServiceObservability:
             and 'endpoint="/compile"' in line
         ]
         assert buckets and buckets == sorted(buckets)
+
+    def test_every_request_lands_once_with_analytics_off(self, obs_service):
+        """The latency sketch records every request whether or not
+        analytics is on; the histogram rendered from it stays consistent.
+        One keep-alive connection serializes the handler threads, so each
+        request's latency is recorded before the next request is read."""
+        requests = 5
+        source = "Matrix A (6, 6) <>\nMatrix B (6, 3) <>\nX := A * B\n"
+        connection = http.client.HTTPConnection(
+            obs_service.split("//", 1)[1], timeout=60
+        )
+
+        def call(method, path, body=None):
+            payload = None if body is None else json.dumps(body)
+            connection.request(method, path, body=payload)
+            response = connection.getresponse()
+            text = response.read().decode("utf-8")
+            assert response.status == 200, text
+            return text
+
+        def samples(text, suffix):
+            return [
+                int(float(line.rsplit(" ", 1)[1]))
+                for line in text.splitlines()
+                if line.startswith(f"repro_request_latency_seconds{suffix}{{")
+                and 'endpoint="/compile"' in line
+                and 'method="POST"' in line
+            ]
+
+        try:
+            before = samples(call("GET", "/metrics"), "_count")
+            with analytics_disabled():
+                for _ in range(requests):
+                    call("POST", "/compile", {"source": source})
+                text = call("GET", "/metrics")
+        finally:
+            connection.close()
+        buckets = samples(text, "_bucket")
+        (count,) = samples(text, "_count")
+        assert buckets == sorted(buckets)
+        assert buckets[-1] == count  # the le="+Inf" bucket
+        assert count - sum(before) == requests
 
     def test_request_id_header_is_echoed_and_propagates(self, obs_service):
         marker = "obs-test-req-12345"

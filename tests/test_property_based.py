@@ -23,6 +23,7 @@ from repro.baselines import baseline_strategies
 from repro.core import GMCAlgorithm, MatrixChainDP
 from repro.cost import FlopCount
 from repro.experiments.workload import ChainGenerator
+from repro.options import CompileOptions
 from repro.runtime import allclose, execute_program, instantiate_expression
 
 _SETTINGS = settings(
@@ -94,7 +95,9 @@ class TestGMCMatchesClassicDP:
     @_SETTINGS
     def test_same_optimum_on_plain_chains(self, sizes):
         matrices = [Matrix(f"M{i}", sizes[i], sizes[i + 1]) for i in range(len(sizes) - 1)]
-        solution = GMCAlgorithm(metric=FlopCount()).solve(Times(*matrices))
+        solution = GMCAlgorithm(CompileOptions(metric=FlopCount())).solve(
+            Times(*matrices)
+        )
         assert solution.optimal_cost == pytest.approx(MatrixChainDP(sizes).optimal_cost)
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from repro.frontend import compile_source
 from repro.service import (
+    CompileOptions,
     CompileRequest,
     CompileResponse,
     InProcessExecutor,
@@ -48,12 +49,13 @@ class TestApi:
     def test_request_roundtrips_through_dict(self):
         request = CompileRequest(
             source="Matrix A (4, 4) <>\nX := A * A\n",
-            metric="flops",
-            emit=("julia",),
-            prune=False,
-            use_match_cache=False,
+            options=CompileOptions(
+                metric="flops", emit=("julia",), prune=False, match_cache=False
+            ),
         )
-        clone = CompileRequest.from_dict(json.loads(json.dumps(request.to_dict())))
+        payload = json.loads(json.dumps(request.to_dict()))
+        assert "options" in payload and "metric" not in payload
+        clone = CompileRequest.from_dict(payload)
         assert clone == request
 
     def test_structured_spec_equals_source(self):
@@ -151,7 +153,9 @@ class TestInProcessExecutor:
         source = similar_sources(1, prefix="Code")[0]
         with create_executor(in_process=True) as executor:
             response = executor.submit(
-                CompileRequest(source=source, emit=("julia", "numpy"))
+                CompileRequest(
+                    source=source, options=CompileOptions(emit=("julia", "numpy"))
+                )
             )
         direct = compile_source(source)
         assert normalized(response.assignment("X").code["julia"]) == normalized(
@@ -381,24 +385,33 @@ class TestHTTP:
         body = json.loads(excinfo.value.read())
         assert body["ok"] is False and body["error"]
 
-    def test_unknown_path_is_404(self, http_service):
+    @pytest.mark.parametrize("path", ["/nope", "/timeseries"])
+    def test_unknown_path_is_404(self, http_service, path):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(f"{http_service}/nope")
+            _get(f"{http_service}{path}")
         assert excinfo.value.code == 404
 
     @pytest.mark.parametrize("path", ["/compile", "/execute"])
     @pytest.mark.parametrize(
-        "option", [{"solver": "topdown"}, {"parallelism": "threads:2"}]
+        "fields, message",
+        [
+            ({"options": {"solver": "topdown"}}, "unknown option fields"),
+            ({"options": {"parallelism": "threads:2"}}, "unknown option fields"),
+            ({"metric": "flops"}, "unknown request fields"),
+            ({"emit": ["julia"]}, "unknown request fields"),
+            ({"prune": False}, "unknown request fields"),
+            ({"use_match_cache": False}, "unknown request fields"),
+        ],
     )
-    def test_removed_option_fields_are_400(self, http_service, path, option):
-        """``solver`` and ``parallelism`` no longer exist: the options
-        decoder rejects them as a client error, never a 500."""
+    def test_removed_option_fields_are_400(self, http_service, path, fields, message):
+        """Removed options (``solver``, ``parallelism``) and top-level flat
+        option fields are client errors, never a 500."""
         source = similar_sources(1, prefix="Removed")[0]
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(f"{http_service}{path}", {"source": source, "options": option})
+            _post(f"{http_service}{path}", {"source": source, **fields})
         with excinfo.value as error:
             assert error.code == 400
-            assert "unknown option fields" in json.loads(error.read())["error"]
+            assert message in json.loads(error.read())["error"]
 
 
 # ---------------------------------------------------------------------------
