@@ -19,7 +19,11 @@ from repro.codegen import available_emitters, get_emitter, register_emitter, _EM
 from repro.core import GMCAlgorithm
 from repro.cost import FlopCount
 from repro.frontend import compile_source, main
-from repro.frontend.compiler import CompilationResult, CompiledAssignment
+from repro.frontend.compiler import (
+    CompilationResult,
+    CompiledAssignment,
+    compile_program,
+)
 from repro.kernels.catalog import KernelCatalog, build_default_kernels
 from repro.service.api import CompileRequest, execute_request
 
@@ -74,9 +78,20 @@ class TestCompileOptions:
             lambda: GMCAlgorithm(KernelCatalog(build_default_kernels())),
             lambda: compile_source(SOURCE, metric="time"),
             lambda: compile_source(SOURCE, catalog=None),
+            lambda: GMCAlgorithm(prune=False),
+            lambda: GMCAlgorithm(CompileOptions(), metric="flops"),
+            lambda: compile_source(SOURCE, CompileOptions()),
+            lambda: compile_program(parse_program(SOURCE), metric="flops"),
+            lambda: compile_program(parse_program(SOURCE), catalog=None),
+            lambda: CompileRequest(source=SOURCE, metric="flops"),
+            lambda: CompileRequest(source=SOURCE, use_match_cache=False),
+            lambda: execute_request(CompileRequest(source=SOURCE), metrics={}),
         ],
         ids=["gmc-metric", "gmc-catalog", "gmc-positional-catalog",
-             "source-metric", "source-catalog"],
+             "source-metric", "source-catalog", "gmc-prune",
+             "gmc-options-and-metric", "source-positional-options",
+             "program-metric", "program-catalog", "request-metric",
+             "request-use-match-cache", "execute-metrics"],
     )
     def test_loose_option_keywords_are_rejected(self, call):
         """Options travel only as one CompileOptions value."""
@@ -450,6 +465,33 @@ def test_wire_roundtripped_options_produce_identical_results():
     direct = execute_request(request)
     roundtripped = execute_request(clone)
     assert direct.kernel_sequences == roundtripped.kernel_sequences
+
+
+def test_nested_wire_request_compiles_like_the_session():
+    """A nested-options wire request yields the kernels and emitted code of a
+    Compiler session built from the same options."""
+    import json
+    import re
+
+    options = CompileOptions(
+        metric="flops", emit=("julia",), prune=False, match_cache=False
+    )
+    wire = {"source": SOURCE, "options": json.loads(json.dumps(options.to_wire()))}
+    response = execute_request(CompileRequest.from_dict(wire))
+    assert response.ok, response.error
+    session = Compiler(options).compile(SOURCE)
+    assert response.kernel_sequences == {
+        c.target: c.kernel_sequence for c in session
+    }
+
+    def normalized(code: str) -> str:
+        # Temporaries draw from a process-global counter, so two
+        # compilations of one source differ only in T<n> numbering.
+        return re.sub(r"\bT\d+\b", "T#", code)
+
+    assert normalized(response.assignment("X").code["julia"]) == normalized(
+        session.assignment("X").emit("julia")
+    )
 
 
 def test_deadline_placeholder_is_threaded_to_solvers():

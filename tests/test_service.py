@@ -82,6 +82,15 @@ class TestApi:
             {"source": "X := A\n", "solver": "nonsense"},
             {"source": "X := A\n", "emit": ["fortran"]},
             {"source": "X := A\n", "bogus_field": 1},
+            # Bad values inside the nested options object.
+            {"source": "X := A\n", "options": "flops"},
+            {"source": "X := A\n", "options": {"metric": "nonsense"}},
+            {"source": "X := A\n", "options": {"emit": ["fortran"]}},
+            {"source": "X := A\n", "options": {"prune": "yes"}},
+            {"source": "X := A\n", "options": {"deadline_s": 0}},
+            {"source": "X := A\n", "options": {"cost_cache_size": 0}},
+            # A flat option field next to the nested object.
+            {"source": "X := A\n", "metric": "flops", "options": {"prune": True}},
         ],
     )
     def test_malformed_requests_raise(self, payload):
