@@ -29,7 +29,7 @@ Two implementations coexist:
 
 :func:`infer_properties` and :func:`has_property` route through the engine
 by default; the :func:`legacy_inference` context manager switches them back
-to the reference predicates (used for benchmarking and differential tests).
+to the reference predicates (used by the differential tests).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ because every node caches its hash and identity key at construction time
 
 Interning is *optional*: nothing in the algebra layer requires canonical
 nodes, and :func:`interning_disabled` turns the construction path into the
-identity function (used by benchmarks to measure the legacy behaviour).
+identity function (the reference the differential tests compare against).
 """
 
 from __future__ import annotations
@@ -152,7 +152,8 @@ def intern(expr: Expression) -> Expression:
 def interning_disabled() -> Iterator[None]:
     """Temporarily make :func:`intern` the identity function.
 
-    Used by the generation-time benchmark to time the non-hash-consed path.
+    The differential tests solve under it to check that hash-consing
+    changes no solution.
     """
     global _ACTIVE
     previous = _ACTIVE

@@ -21,6 +21,7 @@ failing ``phase``.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -96,12 +97,18 @@ class ExecuteRequest:
             )
         if self.payloads is not None and not isinstance(self.payloads, Mapping):
             raise RequestError("'payloads' must map operand names to arrays")
+        if not isinstance(self.validate_numerics, bool):
+            raise RequestError(
+                f"'validate' must be a boolean, got {self.validate_numerics!r}"
+            )
         try:
             self.seed = int(self.seed)
             self.rtol = float(self.rtol)
             self.atol = float(self.atol)
         except (TypeError, ValueError) as exc:
             raise RequestError(f"bad execute parameter: {exc}") from exc
+        if not (math.isfinite(self.rtol) and math.isfinite(self.atol)):
+            raise RequestError("'rtol' and 'atol' must be finite")
         if self.rtol < 0 or self.atol < 0:
             raise RequestError("'rtol' and 'atol' must be non-negative")
 
@@ -135,15 +142,17 @@ class ExecuteRequest:
         if unknown:
             raise RequestError(f"unknown execute fields: {sorted(unknown)}")
         compile_request = CompileRequest.from_dict(data)
+        payloads = execute.get("payloads")
         request = cls(
             compile=compile_request,
+            # A non-object reaches validate() unchanged and is rejected there.
             payloads=(
-                dict(execute["payloads"]) if execute.get("payloads") else None
+                (dict(payloads) or None) if isinstance(payloads, Mapping) else payloads
             ),
             seed=execute.get("seed", 0),
             rtol=execute.get("rtol", 1e-6),
             atol=execute.get("atol", 1e-9),
-            validate_numerics=bool(execute.get("validate", True)),
+            validate_numerics=execute.get("validate", True),
             engine=str(execute.get("engine", "module")),
         )
         request.validate()

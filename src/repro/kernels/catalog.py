@@ -23,7 +23,6 @@ from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..algebra.expression import Expression
-from ..matching import match_cache as _match_cache
 from ..matching.discrimination_net import DiscriminationNet
 from ..matching.match_cache import MatchCache
 from ..matching.patterns import Substitution
@@ -103,12 +102,10 @@ class KernelCatalog:
         shape/property signature was seen before reuse the kernel list and a
         re-bound substitution without walking the discrimination net (see
         :mod:`repro.matching.match_cache`, including the invalidation rules).
-        ``use_cache=False`` bypasses the cache for this call -- the explicit,
-        per-solver spelling of ``CompileOptions(match_cache=False)`` (the
-        process-global ``match_caching_disabled()`` toggle also still
-        applies, so the legacy context manager keeps working).
+        ``use_cache=False`` bypasses the cache for this call -- the
+        per-solver spelling of ``CompileOptions(match_cache=False)``.
         """
-        if use_cache and _match_cache._ENABLED:
+        if use_cache:
             return self._match_cache.match(expr)
         results: List[Tuple[Kernel, Substitution]] = []
         for _, substitution, payload in self._net.match(expr):

@@ -6,7 +6,7 @@ paper's reference implementation (Section 3.1).
 """
 
 from .discrimination_net import DiscriminationNet, legacy_binding
-from .match_cache import MatchCache, match_caching_disabled
+from .match_cache import MatchCache
 from .patterns import (
     Constraint,
     Pattern,
@@ -28,5 +28,4 @@ __all__ = [
     "DiscriminationNet",
     "legacy_binding",
     "MatchCache",
-    "match_caching_disabled",
 ]

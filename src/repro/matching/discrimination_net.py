@@ -49,8 +49,8 @@ def legacy_binding() -> Iterator[None]:
 
     The reference path re-derives the wildcard table from the pattern tree
     and builds the substitution through a chain of copies, exactly as the
-    original implementation did; it is kept for differential testing and so
-    the generation-time benchmark can compare against the legacy matcher.
+    original implementation did; it is kept as the reference the
+    differential tests compare the optimized matcher against.
     """
     global _LEGACY_BINDING
     previous = _LEGACY_BINDING
@@ -361,8 +361,8 @@ class DiscriminationNet:
         extends the substitution binding by binding.
 
         Semantically identical to :meth:`_bind` (asserted by the
-        differential tests); activated by :func:`legacy_binding` so the
-        generation-time benchmark can measure the pre-optimization matcher.
+        differential tests); activated by :func:`legacy_binding`, which
+        those tests use to run the pre-optimization matcher.
         """
         pattern = entry.pattern
         slot_names = entry.slot_names

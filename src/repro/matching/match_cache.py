@@ -49,38 +49,20 @@ server) processes hold their working set instead of resetting wholesale.
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..algebra.expression import Expression
 from ..algebra.inference import registry_is_customized, registry_version
 from .discrimination_net import DiscriminationNet, _flatten_subject
 from .patterns import Substitution, Wildcard
 
-__all__ = ["MatchCache", "match_caching_disabled"]
+__all__ = ["MatchCache"]
 
 
 #: Per-kernel re-binding recipe: the matched payload (kernel) plus, for every
 #: wildcard of its pattern, the name and the preorder position of the subject
 #: node it bound to.
 _CachedMatch = Tuple[object, Tuple[Tuple[str, int], ...]]
-
-#: Module-level switch consulted by ``KernelCatalog.match``; flipped by
-#: :func:`match_caching_disabled` so benchmarks and differential tests can
-#: measure the uncached reference path.
-_ENABLED = True
-
-
-@contextmanager
-def match_caching_disabled() -> Iterator[None]:
-    """Route ``KernelCatalog.match`` around the match cache while active."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
 
 
 class MatchCache:

@@ -26,8 +26,8 @@ instance is the worker-side view, recorded at ``execute_request`` time and
 shipped inside the telemetry snapshot.
 
 The layer is always-on but cheap (a dict update and a ``log`` per
-request); ``scripts/bench_generation.py --check-analytics-overhead`` gates
-warm serve throughput within a few percent of :func:`analytics_disabled`.
+request); its cost sits inside the end-to-end bounds of the ``perfbench/``
+benchmark, whose ``obs.record_ms`` layer metric times the recording.
 """
 
 from __future__ import annotations
@@ -482,7 +482,7 @@ def set_analytics_enabled(enabled: bool) -> bool:
 
 @contextmanager
 def analytics_disabled():
-    """``with analytics_disabled():`` -- the bench's analytics-off arm."""
+    """``with analytics_disabled():`` -- recording off for the block."""
     previous = set_analytics_enabled(False)
     try:
         yield

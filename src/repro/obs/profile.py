@@ -20,8 +20,8 @@ an approximation of the true stack samples (cProfile records a caller
 profiler's numbers exactly.
 
 Profiling is strictly opt-in and per-request; the disabled path never
-constructs a profiler, so the always-on analytics overhead gate
-(``--check-analytics-overhead``) is unaffected.
+constructs a profiler, so requests that do not ask for a profile pay
+nothing for it.
 """
 
 from __future__ import annotations

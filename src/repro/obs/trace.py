@@ -8,9 +8,9 @@ cells-evaluated / cells-pruned deltas attached.
 
 Tracing is strictly opt-in (``CompileOptions(trace=True)``); the disabled
 hot path never constructs a tracer, so the only cost it pays is an
-``is None`` test at phase boundaries (never per DP cell).  The bench gate
-``scripts/bench_generation.py --check-trace-overhead`` asserts this stays
-measurably free.
+``is None`` test at phase boundaries (never per DP cell).
+``tests/test_obs.py`` asserts that a solver whose tracer was set back to
+``None`` records no span and runs no timing wrapper.
 
 Exports:
 

@@ -50,6 +50,23 @@ Y := A * B
 Z := Y * C * A
 """
 
+#: A pure product chain and a Kalman-style DAG whose plan uses solve kernels
+#: with transposed right-hand sides (e.g. posv_l_it, sysv_r_ti).
+PRODUCT_CHAIN_SOURCE = """Matrix P (120, 400) <full_rank>
+Matrix Q (400, 80) <full_rank>
+Matrix R (80, 300) <full_rank>
+Matrix S (300, 60) <full_rank>
+Y := P * Q * R * S
+"""
+
+KALMAN_DAG_SOURCE = """Matrix Hk (50, 90) <full_rank>
+Matrix Pk (90, 90) <spd>
+Matrix Bk (50, 40) <full_rank>
+G := Hk * Pk * Hk^T
+J := G^-1 * Bk
+K := Pk * Hk^T * (Hk * Pk^-1 * Hk^T)^-1
+"""
+
 
 def _compile(source: str, **options):
     from repro.options import CompileOptions
@@ -276,7 +293,9 @@ class TestRunExecuteRequest:
 
     @pytest.mark.parametrize("prune", [True, False])
     @pytest.mark.parametrize("metric", ["flops", "time"])
-    @pytest.mark.parametrize("source", [CHAIN_SOURCE, DAG_SOURCE])
+    @pytest.mark.parametrize(
+        "source", [CHAIN_SOURCE, DAG_SOURCE, PRODUCT_CHAIN_SOURCE, KALMAN_DAG_SOURCE]
+    )
     def test_module_matches_interpreter_across_matrix(self, prune, metric, source):
         request = ExecuteRequest.from_dict(
             {
@@ -290,20 +309,11 @@ class TestRunExecuteRequest:
         assert response.engines_match and response.validated
 
     def test_transposed_solve_kernels_render_correctly(self):
-        # Kalman-style DAG whose plan uses solve kernels with transposed
-        # right-hand sides (e.g. posv_l_it, sysv_r_ti).  Regression test for
-        # the numpy templates dropping the rhs transpose code, which made the
-        # emitted module diverge from (or crash where) the interpreter ran.
-        source = (
-            "Matrix Hk (50, 90) <full_rank>\n"
-            "Matrix Pk (90, 90) <spd>\n"
-            "Matrix Bk (50, 40) <full_rank>\n"
-            "G := Hk * Pk * Hk^T\n"
-            "J := G^-1 * Bk\n"
-            "K := Pk * Hk^T * (Hk * Pk^-1 * Hk^T)^-1\n"
-        )
+        # Regression test for the numpy templates dropping the rhs transpose
+        # code, which made the emitted module diverge from (or crash where)
+        # the interpreter ran.
         request = ExecuteRequest.from_dict(
-            {"source": source, "execute": {"engine": "both", "seed": 3}}
+            {"source": KALMAN_DAG_SOURCE, "execute": {"engine": "both", "seed": 3}}
         )
         response = run_execute_request(request)
         assert response.ok, response.error
@@ -494,12 +504,23 @@ class TestExecuteEndpoint:
         assert status == 200 and body["ok"]
         assert body["engines_match"] and body["results"][0]["target"] == "Z"
 
-    def test_execute_malformed_body_is_400(self, exec_service):
+    @pytest.mark.parametrize(
+        "execute, message",
+        [
+            ({"engine": "quantum"}, "unknown engine"),
+            ({"payloads": "AB"}, "'payloads' must map"),
+            ({"payloads": [1]}, "'payloads' must map"),
+            ({"validate": "false"}, "'validate' must be a boolean"),
+            ({"validate": 0}, "'validate' must be a boolean"),
+            ({"rtol": "nan"}, "must be finite"),
+            ({"atol": "inf"}, "must be finite"),
+        ],
+    )
+    def test_execute_malformed_body_is_400(self, exec_service, execute, message):
         status, body, _ = _post(
-            f"{exec_service}/execute",
-            {"source": CHAIN_SOURCE, "execute": {"engine": "quantum"}},
+            f"{exec_service}/execute", {"source": CHAIN_SOURCE, "execute": execute}
         )
-        assert status == 400 and "unknown engine" in body["error"]
+        assert status == 400 and message in body["error"]
 
     def test_execute_run_failure_is_400_with_phase(self, exec_service):
         status, body, _ = _post(

@@ -5,7 +5,7 @@ re-implements the Fig. 6 predicate recursion as one fused bottom-up pass.
 These tests pin the two paths together: on randomly generated generalized
 chains (and every node of their trees) the inferred property sets must be
 *identical*, and the GMC algorithm must produce identical solutions under
-either path.
+either path -- and with hash-consing turned off.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.algebra import (
     infer_properties_legacy,
     inference_engine,
     intern,
+    interning_disabled,
     legacy_inference,
 )
 from repro.algebra.inference import PREDICATES, PropertyInference
@@ -35,6 +36,23 @@ from test_property_based import generalized_chains
 _SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
+
+
+def _solve_uncached(reference_path, expression, options=None):
+    """Solve *expression* on *reference_path* reusing no result the fast solve
+    cached: the process-wide inference memo is dropped, and the match cache
+    (and with it the split-decision memo) is off, so every split walks the
+    discrimination net.
+
+    The intern table is left warm on purpose.  It caches no results, the
+    ``interning_disabled`` arm never reads it, and a table carried across
+    examples is what makes the fast solves canonicalize against equal nodes
+    they did not create (a cold table would hide a broken rebuild).
+    """
+    clear_inference_cache()
+    options = (options or CompileOptions()).replace(match_cache=False)
+    with reference_path():
+        return GMCAlgorithm(options).solve(expression)
 
 
 class TestPropertySetEquivalence:
@@ -117,25 +135,24 @@ class TestPropertySetEquivalence:
 
 
 class TestSolverEquivalence:
+    @pytest.mark.parametrize("reference_path", [legacy_inference, interning_disabled])
     @given(generalized_chains())
     @_SETTINGS
-    def test_gmc_solution_identical_under_both_paths(self, expression):
+    def test_gmc_solution_identical_under_both_paths(self, reference_path, expression):
         fast = GMCAlgorithm().solve(expression)
-        with legacy_inference():
-            legacy = GMCAlgorithm().solve(expression)
-        assert fast.computable == legacy.computable
-        if legacy.computable:
-            assert fast.optimal_cost == pytest.approx(legacy.optimal_cost)
-            assert fast.parenthesization() == legacy.parenthesization()
-            assert fast.kernel_sequence() == legacy.kernel_sequence()
+        reference = _solve_uncached(reference_path, expression)
+        assert fast.computable == reference.computable
+        if reference.computable:
+            assert fast.optimal_cost == pytest.approx(reference.optimal_cost)
+            assert fast.parenthesization() == reference.parenthesization()
+            assert fast.kernel_sequence() == reference.kernel_sequence()
 
     @given(generalized_chains())
     @_SETTINGS
     def test_exhaustive_solution_identical_under_both_paths(self, expression):
         exhaustive = CompileOptions(prune=False)
         fast = GMCAlgorithm(exhaustive).solve(expression)
-        with legacy_inference():
-            legacy = GMCAlgorithm(exhaustive).solve(expression)
+        legacy = _solve_uncached(legacy_inference, expression, exhaustive)
         assert fast.computable == legacy.computable
         if legacy.computable:
             assert fast.optimal_cost == pytest.approx(legacy.optimal_cost)
@@ -147,8 +164,7 @@ class TestSolverEquivalence:
         c = Matrix("C", 6, 6, {Property.DIAGONAL, Property.NON_SINGULAR})
         chain = Times(a.I, b, c)
         fast = GMCAlgorithm().solve(chain)
-        with legacy_inference():
-            legacy = GMCAlgorithm().solve(chain)
+        legacy = _solve_uncached(legacy_inference, chain)
         n = fast.length
         for i in range(n):
             for j in range(i + 1, n):
@@ -185,7 +201,9 @@ class TestMatcherEquivalence:
             with legacy_binding():
                 reference = {
                     (kernel.id, substitution)
-                    for kernel, substitution in catalog.match(subject)
+                    for kernel, substitution in catalog.match(
+                        subject, use_cache=False
+                    )
                 }
             assert fast == reference, str(subject)
 
@@ -195,8 +213,7 @@ class TestMatcherEquivalence:
         from repro.matching import legacy_binding
 
         fast = GMCAlgorithm().solve(expression)
-        with legacy_binding():
-            reference = GMCAlgorithm().solve(expression)
+        reference = _solve_uncached(legacy_binding, expression)
         assert fast.computable == reference.computable
         if reference.computable:
             assert fast.optimal_cost == pytest.approx(reference.optimal_cost)

@@ -17,7 +17,7 @@ from repro.experiments.workload import ChainGenerator
 from repro.kernels.catalog import KernelCatalog, build_default_kernels, default_catalog
 from repro.kernels.kernel import Kernel
 from repro.kernels.helpers import binary_pattern
-from repro.matching import MatchCache, Pattern, Wildcard, match_caching_disabled
+from repro.matching import MatchCache, Pattern, Wildcard
 from repro.matching.patterns import Substitution
 from repro.options import CompileOptions
 
@@ -112,8 +112,7 @@ class TestMatchCacheRebinding:
             catalog.match(subject)
         for subject in subjects:
             cached = catalog.match(subject)
-            with match_caching_disabled():
-                direct = catalog.match(subject)
+            direct = catalog.match(subject, use_cache=False)
             assert [(k.id, dict(s)) for k, s in cached] == [
                 (k.id, dict(s)) for k, s in direct
             ]
@@ -293,8 +292,7 @@ class TestEndToEndEquivalence:
             got = fast.solve(problem.expression)
             # Solve twice so the second pass runs against a warm cache.
             got_warm = fast.solve(problem.expression)
-            with match_caching_disabled():
-                want = reference.solve(problem.expression)
+            want = reference.solve(problem.expression)
             assert got.computable == got_warm.computable == want.computable
             if want.computable:
                 assert float(got.optimal_cost) == pytest.approx(float(want.optimal_cost))
@@ -315,8 +313,7 @@ class TestEndToEndEquivalence:
         )
         for problem in _random_chains(8, seed=71):
             got = fast.solve(problem.expression)
-            with match_caching_disabled():
-                want = reference.solve(problem.expression)
+            want = reference.solve(problem.expression)
             assert got.computable == want.computable
             if want.computable:
                 assert float(got.optimal_cost) == pytest.approx(float(want.optimal_cost))
@@ -332,10 +329,11 @@ class TestEndToEndEquivalence:
         # Dead cells materialize no temporary.
         assert solution.tmps[0][1] is None
 
-    def test_repeated_solve_hits_the_cache(self):
+    @pytest.mark.parametrize("length", [8, 12])
+    def test_repeated_solve_hits_the_cache(self, length):
         catalog = _fresh_catalog()
         algorithm = GMCAlgorithm(CompileOptions(catalog=catalog))
-        problem = _random_chains(1, seed=5, min_length=8, max_length=8)[0]
+        problem = _random_chains(1, seed=5, min_length=length, max_length=length)[0]
         algorithm.solve(problem.expression)
         catalog.match_cache.reset_stats()
         algorithm.solve(problem.expression)

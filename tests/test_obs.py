@@ -316,6 +316,49 @@ class TestTracedCompile:
         assert all(span.attrs["cells_pruned"] == 0 for span in diagonals)
         assert trace_has_phases(result.trace)
 
+    def test_dropped_tracer_leaves_later_solves_untraced(self, monkeypatch):
+        """Once a solver's tracer is set back to None, its next solve records
+        nothing in the old tracer and runs no timing wrapper: tracing costs
+        nothing unless it is on."""
+        from repro.algebra import Matrix, Property, Times
+        from repro.core import GMCAlgorithm, gmc
+
+        wrapped_calls = []
+        real_timed = gmc._timed
+
+        def counting_timed(function, totals, key):
+            timed = real_timed(function, totals, key)
+
+            def counted(*args):
+                wrapped_calls.append(key)
+                return timed(*args)
+
+            return counted
+
+        monkeypatch.setattr(gmc, "_timed", counting_timed)
+        chain = Times(
+            Matrix("A", 120, 120, {Property.SPD}).I,
+            Matrix("B", 120, 80),
+            Matrix("C", 80, 80, {Property.LOWER_TRIANGULAR, Property.NON_SINGULAR}).T,
+            Matrix("D", 80, 40),
+            Matrix("E", 40, 90),
+        )
+        algorithm = GMCAlgorithm()
+        tracer = Tracer()
+        algorithm.tracer = tracer
+        traced = algorithm.solve(chain)
+        recorded = json.dumps(tracer.to_json(), sort_keys=True)
+        assert tracer.find("diagonal") and wrapped_calls
+
+        algorithm.tracer = None
+        wrapped_calls.clear()
+        untraced = algorithm.solve(chain)
+        assert wrapped_calls == []
+        assert json.dumps(tracer.to_json(), sort_keys=True) == recorded
+        assert untraced.kernel_sequence() == traced.kernel_sequence()
+        assert untraced.parenthesization() == traced.parenthesization()
+        assert untraced.optimal_cost == traced.optimal_cost
+
     def test_trace_flag_stays_out_of_plan_fingerprint(self):
         from repro.persist.plan_cache import plan_fingerprint
 

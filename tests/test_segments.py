@@ -4,7 +4,8 @@ Covers the identity matrix required by the DAG front end (auto-decomposed
 compiles must be kernel-for-kernel identical to hand-decomposed per-chain
 solves across prune x match cache), CSE reuse and invalidation,
 stitched-program execution, error reporting, sibling plan-cache
-amortization and the segment telemetry counters.
+amortization (including the Jacobian DAG workload) and the segment
+telemetry counters.
 """
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.core import (
     decompose_program,
     segment_telemetry,
 )
+from repro.experiments.workload import jacobian_workload
 from repro.frontend import CompileOptions, Compiler, compile_source
 from repro.kernels import default_catalog
 from repro.runtime import execute_program, instantiate_expression
@@ -202,6 +204,30 @@ V := S^-1 * T
         assert lookups == 4
         assert after["hits"] - before["hits"] == 4
         assert after["misses"] == before["misses"]
+
+    def test_jacobian_sibling_models_hit_the_plan_cache(self):
+        """After the first model, sibling Jacobian models are answered by the
+        plan cache (two misses in 84 lookups), and every answer equals a
+        plan-cache-off compile."""
+        problems = jacobian_workload(models=12, blocks=6)
+        session = Compiler()
+        before = segment_telemetry().stats()
+        results = [session.compile(problem.source) for problem in problems]
+        after = segment_telemetry().stats()
+        hits = after["hits"] - before["hits"]
+        lookups = hits + after["misses"] - before["misses"]
+        assert lookups == 12 * 7
+        assert hits / lookups >= 0.9
+
+        reference = Compiler(CompileOptions(plan_cache=False))
+        for problem, result in zip(problems, results):
+            want = reference.compile(problem.source)
+            assert [a.target for a in result] == [a.target for a in want]
+            for got, expected in zip(result, want):
+                assert got.kernel_sequence == expected.kernel_sequence, (
+                    problem.identifier,
+                    got.target,
+                )
 
 
 class TestStitchedExecution:
