@@ -5,8 +5,9 @@ The GMC compiler answers *how* to compute a matrix program; this example
 actually computes one.  It compiles a small Kalman-style DAG, emits it as a
 standalone Python module (no ``repro`` import needed at runtime -- only
 NumPy/SciPy), loads it through the signature-keyed module cache, runs it on
-seeded property-respecting random operands, and cross-checks the answer
-against the interpreted executor and the sequential reference evaluator.
+seeded property-respecting random operands, and checks the answer against
+the interpreted executor (which runs the same kernel statements) and the
+sequential reference evaluator.
 
 Run with::
 
@@ -16,7 +17,7 @@ The same round trip is one HTTP call against a running service
 (``python -m repro.frontend --serve``)::
 
     curl -X POST http://127.0.0.1:8077/execute \\
-         -d '{"source": "...", "execute": {"seed": 7, "engine": "both"}}'
+         -d '{"source": "...", "execute": {"seed": 7}}'
 """
 
 from __future__ import annotations
@@ -68,13 +69,12 @@ def main() -> int:
     # ------------------------- the same round trip through the request pipeline
     response = run_execute_request(
         ExecuteRequest.from_dict(
-            {"source": SOURCE, "execute": {"seed": 7, "engine": "both"}}
+            {"source": SOURCE, "execute": {"seed": 7}}
         ),
         compiler=compiler,
     )
     print(
         f"run_execute_request: ok={response.ok} validated={response.validated} "
-        f"engines_match={response.engines_match} "
         f"max_rel_error={response.max_rel_error:.2e} "
         f"module_cache_hit={response.module_cache_hit}"
     )

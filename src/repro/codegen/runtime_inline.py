@@ -6,7 +6,8 @@ live in :mod:`repro.runtime.kernels_numpy`; importing them from there would
 tie generated source to this repository being importable at run time.  To
 keep emitted modules *standalone*, this module renders the helper
 definitions themselves -- extracted verbatim from the runtime via
-:func:`inspect.getsource`, so the interpreter, the emitters and the
+:func:`inspect.getsource`, so the interpreter (which runs the same
+statements with these helpers in its namespace), the emitters and the
 generated code keep sharing a single kernel implementation -- and builds a
 preamble that inlines exactly the helpers a statement sequence uses.
 """
@@ -27,17 +28,7 @@ __all__ = [
 ]
 
 #: Public helper routines emitted statements may call, in rendering order.
-HELPER_NAMES: Tuple[str, ...] = (
-    "solve_triangular",
-    "cholesky_solve",
-    "symmetric_solve",
-    "lu_solve",
-    "diagonal_solve",
-    "invert",
-    "invert_spd",
-    "invert_triangular",
-    "invert_diagonal",
-)
+HELPER_NAMES: Tuple[str, ...] = tuple(kernels_numpy.__all__)
 
 #: Private prerequisites some helpers call; rendered first when referenced.
 _PRIVATE_HELPERS: Tuple[str, ...] = ("_is_lower", "_as_matrix")

@@ -3,8 +3,7 @@
 :class:`ExecuteRequest` wraps a :class:`~repro.service.api.CompileRequest`
 (the problem and its pipeline options) with execution parameters: explicit
 JSON operand payloads and/or a seed for property-respecting random
-operands, the numerical tolerance, and the engine (emitted ``module``,
-the ``interpreter``, or ``both`` cross-checked).
+operands and the numerical tolerance.
 
 :func:`run_execute_request` is the single execution path shared by the
 in-process executor, the pool workers behind ``POST /execute`` and the
@@ -31,7 +30,6 @@ import numpy as np
 from ..algebra.expression import Matrix
 from ..frontend.compiler import CompilationResult, Compiler
 from ..obs.logging import get_logger, log_rate_limited
-from ..runtime.executor import Executor
 from ..runtime.operands import random_environment
 from ..runtime.reference import evaluate as reference_evaluate
 from ..service.api import CompileRequest, RequestError
@@ -45,9 +43,9 @@ __all__ = [
     "run_execute_request",
 ]
 
-#: Supported execution engines: the emitted standalone module (default),
-#: the kernel interpreter, or both with a cross-check.
-ENGINES = ("module", "interpreter", "both")
+#: Supported execution engines: only the emitted standalone module.  The
+#: ``engine`` key stays accepted (and must name it) for existing clients.
+ENGINES = ("module",)
 
 #: Keys of the nested ``execute`` wire object.
 _EXECUTE_KEYS = {"payloads", "seed", "rtol", "atol", "validate", "engine"}
@@ -67,10 +65,10 @@ class ExecuteRequest:
                      "payloads": {"A": [[...], ...]}}}
 
     ``payloads`` overrides the seeded random operands for the named
-    subset (shape-checked against the declaration); ``engine`` selects
-    ``module`` (default), ``interpreter`` or ``both`` (cross-checked);
-    ``validate`` (default true) compares the result against the direct
-    reference evaluation within ``rtol``/``atol``.
+    subset (shape-checked against the declaration); ``engine``, when
+    given, must be ``module`` (see :data:`ENGINES`); ``validate`` (default
+    true) compares the result against the direct reference evaluation
+    within ``rtol``/``atol``.
     """
 
     compile: CompileRequest = field(default_factory=CompileRequest)
@@ -165,8 +163,7 @@ class ExecuteResponse:
 
     ``results`` summarizes the program's final user target (shape, norms);
     ``validated`` / ``max_rel_error`` report the reference comparison;
-    ``implementation`` is what actually ran (``numpy`` for the emitted
-    module, ``interpreter`` for the :class:`Executor`); ``timing`` carries the per-phase seconds.  On
+    ``timing`` carries the per-phase seconds.  On
     failure ``phase`` names where it happened (``compile`` / ``operands``
     / ``emit`` / ``import`` / ``run`` / ``validate``).
     """
@@ -174,11 +171,9 @@ class ExecuteResponse:
     request_id: str
     ok: bool
     engine: str = "module"
-    implementation: Optional[str] = None
     module_cache_hit: bool = False
     validated: Optional[bool] = None
     max_rel_error: Optional[float] = None
-    engines_match: Optional[bool] = None
     results: List[dict] = field(default_factory=list)
     total_flops: float = 0.0
     error: Optional[str] = None
@@ -202,11 +197,9 @@ class ExecuteResponse:
             "request_id": self.request_id,
             "ok": self.ok,
             "engine": self.engine,
-            "implementation": self.implementation,
             "module_cache_hit": self.module_cache_hit,
             "validated": self.validated,
             "max_rel_error": self.max_rel_error,
-            "engines_match": self.engines_match,
             "results": [dict(entry) for entry in self.results],
             "total_flops": self.total_flops,
             "error": self.error,
@@ -224,11 +217,9 @@ class ExecuteResponse:
             request_id=payload["request_id"],
             ok=payload["ok"],
             engine=payload.get("engine", "module"),
-            implementation=payload.get("implementation"),
             module_cache_hit=bool(payload.get("module_cache_hit", False)),
             validated=payload.get("validated"),
             max_rel_error=payload.get("max_rel_error"),
-            engines_match=payload.get("engines_match"),
             results=[dict(entry) for entry in payload.get("results", ())],
             total_flops=payload.get("total_flops", 0.0),
             error=payload.get("error"),
@@ -354,78 +345,29 @@ def run_execute_request(
             result, seed=request.seed, overrides=request.payloads
         )
 
-        value: Optional[np.ndarray] = None
-        implementation: Optional[str] = None
-        cache_hit = False
-        if request.engine in ("module", "both"):
-            phase = "emit"
-            key = plan_signature(result)
-            loaded = loader.lookup(key)
-            cache_hit = loaded is not None
-            timing["emit_s"] = 0.0
-            timing["import_s"] = 0.0
-            if loaded is None:
-                t0 = time.perf_counter()
-                source = result.emit_stitched("module")
-                timing["emit_s"] = time.perf_counter() - t0
-                phase = "import"
-                t0 = time.perf_counter()
-                loaded = loader.load(source, key)
-                timing["import_s"] = time.perf_counter() - t0
-            phase = "run"
+        phase = "emit"
+        key = plan_signature(result)
+        loaded = loader.lookup(key)
+        cache_hit = loaded is not None
+        timing["emit_s"] = 0.0
+        timing["import_s"] = 0.0
+        if loaded is None:
             t0 = time.perf_counter()
-            try:
-                value = loaded.run(environment)
-            except Exception:
-                telemetry.record_run(ok=False)
-                raise
-            timing["run_s"] = time.perf_counter() - t0
-            telemetry.record_run(ok=True)
-            implementation = "numpy"
-
-        engines_match: Optional[bool] = None
-        if request.engine in ("interpreter", "both"):
-            phase = "run"
-            program = result.stitched_program()
+            source = result.emit_stitched("module")
+            timing["emit_s"] = time.perf_counter() - t0
+            phase = "import"
             t0 = time.perf_counter()
-            try:
-                interpreted = Executor().execute(program, environment)
-            except Exception:
-                telemetry.record_run(ok=False)
-                raise
-            timing["run_s"] = timing.get("run_s", 0.0) + (
-                time.perf_counter() - t0
-            )
-            telemetry.record_run(ok=True)
-            if request.engine == "interpreter":
-                value = interpreted
-                implementation = "interpreter"
-            else:
-                engines_match, divergence = _compare(
-                    value, interpreted, request.rtol, request.atol
-                )
-                if not engines_match:
-                    return ExecuteResponse(
-                        request_id=request.request_id,
-                        ok=False,
-                        engine=request.engine,
-                        implementation=implementation,
-                        module_cache_hit=cache_hit,
-                        engines_match=False,
-                        max_rel_error=divergence,
-                        total_flops=result.total_flops,
-                        error=(
-                            "module and interpreter engines diverged on "
-                            f"{final_target!r} (max relative error "
-                            f"{divergence:.3g})"
-                        ),
-                        phase="run",
-                        worker=worker,
-                        timing=dict(
-                            timing,
-                            total_s=time.perf_counter() - started,
-                        ),
-                    )
+            loaded = loader.load(source, key)
+            timing["import_s"] = time.perf_counter() - t0
+        phase = "run"
+        t0 = time.perf_counter()
+        try:
+            value = loaded.run(environment)
+        except Exception:
+            telemetry.record_run(ok=False)
+            raise
+        timing["run_s"] = time.perf_counter() - t0
+        telemetry.record_run(ok=True)
 
         validated: Optional[bool] = None
         max_rel_error: Optional[float] = None
@@ -449,7 +391,6 @@ def run_execute_request(
                     request_id=request.request_id,
                     target=final_target,
                     engine=request.engine,
-                    implementation=implementation,
                     max_rel_error=max_rel_error,
                     rtol=request.rtol,
                     seed=request.seed,
@@ -458,11 +399,9 @@ def run_execute_request(
                     request_id=request.request_id,
                     ok=False,
                     engine=request.engine,
-                    implementation=implementation,
                     module_cache_hit=cache_hit,
                     validated=False,
                     max_rel_error=max_rel_error,
-                    engines_match=engines_match,
                     results=[_summarize(final_target, value)],
                     total_flops=result.total_flops,
                     error=(
@@ -479,11 +418,9 @@ def run_execute_request(
             request_id=request.request_id,
             ok=True,
             engine=request.engine,
-            implementation=implementation,
             module_cache_hit=cache_hit,
             validated=validated,
             max_rel_error=max_rel_error,
-            engines_match=engines_match,
             results=[_summarize(final_target, value)],
             total_flops=result.total_flops,
             worker=worker,

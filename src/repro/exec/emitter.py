@@ -9,8 +9,9 @@ whole-DAG program of a :class:`~repro.frontend.compiler.CompilationResult`
   **nothing from repro** and runs in a fresh process with only NumPy (and
   SciPy, when a structured solver is inlined) on the path;
 * the entrypoint function runs exactly the statements the ``numpy``
-  emitter renders, so module output matches the interpreter
-  (:class:`repro.runtime.executor.Executor`) bit for bit;
+  emitter renders: each kernel's ``numpy_template``, its only executable
+  description, which the interpreter
+  (:class:`repro.runtime.executor.Executor`) runs as well;
 * metadata constants (``ENTRYPOINT``, ``ARGUMENTS``, ``RESULT``,
   ``OPERANDS``) drive the loader/runner
   (:mod:`repro.exec.loader`) and make the module self-describing.

@@ -885,7 +885,7 @@ def _execution_report(response) -> str:
         lines.append(f"  FAILED in phase {response.phase!r}: {response.error}")
         return "\n".join(lines)
     cache = "  [module cache hit]" if response.module_cache_hit else ""
-    lines.append(f"  engine: {response.engine} ({response.implementation}){cache}")
+    lines.append(f"  engine: {response.engine}{cache}")
     for summary in response.results:
         lines.append(
             f"  result {summary['target']}: "

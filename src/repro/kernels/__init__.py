@@ -2,8 +2,8 @@
 
 The kernel catalog provides, for every kernel: its syntactic pattern and
 applicability constraints (Table 1 of the paper), a FLOP-count formula, an
-efficiency figure used by the performance cost metric, code templates and
-the name of the NumPy runtime routine that executes it.
+efficiency figure used by the performance cost metric, and code templates;
+the NumPy statement template is also what executes the kernel.
 """
 
 from . import flops

@@ -84,7 +84,6 @@ def build_gemm_kernels() -> List[Kernel]:
                     operands=("X", "Y"),
                     cost=cost,
                     efficiency=EFFICIENCY["GEMM"],
-                    runtime="product",
                     julia_template=(
                         f"gemm!('{_trans_char(left)}', '{_trans_char(right)}', "
                         "1.0, {X}, {Y}, 0.0, {out})"
@@ -94,7 +93,6 @@ def build_gemm_kernels() -> List[Kernel]:
                     ),
                     level=3,
                     description="general matrix-matrix product",
-                    flags={"left_op": left, "right_op": right, "structure": "general"},
                 )
             )
     return kernels
@@ -139,7 +137,6 @@ def build_trmm_kernels() -> List[Kernel]:
                             operands=("X", "Y"),
                             cost=cost,
                             efficiency=EFFICIENCY["TRMM"],
-                            runtime="product",
                             julia_template=(
                                 f"trmm!('{side}', '{uplo_char}', '{_trans_char(tri_op)}', 'N', "
                                 "1.0, " + ("{X}, {Y}" if side == "L" else "{Y}, {X}") + ")"
@@ -152,13 +149,6 @@ def build_trmm_kernels() -> List[Kernel]:
                             ),
                             level=3,
                             description="triangular matrix times general matrix",
-                            flags={
-                                "left_op": left,
-                                "right_op": right,
-                                "structure": "triangular",
-                                "side": side,
-                                "uplo": uplo,
-                            },
                         )
                     )
     return kernels
@@ -196,7 +186,6 @@ def build_symm_kernels() -> List[Kernel]:
                     operands=("X", "Y"),
                     cost=cost,
                     efficiency=EFFICIENCY["SYMM"],
-                    runtime="product",
                     julia_template=(
                         f"symm!('{side}', 'L', 1.0, "
                         + ("{X}, {Y}" if side == "L" else "{Y}, {X}")
@@ -207,12 +196,6 @@ def build_symm_kernels() -> List[Kernel]:
                     ),
                     level=3,
                     description="symmetric matrix times general matrix",
-                    flags={
-                        "left_op": left,
-                        "right_op": right,
-                        "structure": "symmetric",
-                        "side": side,
-                    },
                 )
             )
     return kernels
@@ -251,14 +234,12 @@ def build_syrk_kernels() -> List[Kernel]:
                 operands=("X",),
                 cost=cost,
                 efficiency=EFFICIENCY["SYRK"],
-                runtime="syrk",
                 julia_template=f"syrk!('L', '{trans}', 1.0, {{X}}, 0.0, {{out}})",
                 numpy_template=(
                     "{out} = {X}.T @ {X}" if trans == "T" else "{out} = {X} @ {X}.T"
                 ),
                 level=3,
                 description="symmetric rank-k update (Gram matrix)",
-                flags={"trans": trans, "structure": "general"},
             )
         )
     return kernels
@@ -294,7 +275,6 @@ def build_diagmm_kernels() -> List[Kernel]:
                     operands=("X", "Y"),
                     cost=cost,
                     efficiency=EFFICIENCY["DIAGMM"],
-                    runtime="product",
                     julia_template=(
                         "{out} = Diagonal("
                         + ("{X}" if side == "L" else "{Y}")
@@ -306,12 +286,6 @@ def build_diagmm_kernels() -> List[Kernel]:
                     ),
                     level=3,
                     description="diagonal matrix scaling of a general matrix",
-                    flags={
-                        "left_op": left,
-                        "right_op": right,
-                        "structure": "diagonal",
-                        "side": side,
-                    },
                 )
             )
     return kernels
@@ -342,14 +316,12 @@ def build_gemv_kernels() -> List[Kernel]:
                 operands=("X", "Y"),
                 cost=cost,
                 efficiency=EFFICIENCY["GEMV"],
-                runtime="product",
                 julia_template=(
                     f"gemv!('{_trans_char(left)}', 1.0, {{X}}, {{Y}}, 0.0, {{out}})"
                 ),
                 numpy_template="{out} = " + _np_operand("{X}", left) + " @ {Y}",
                 level=2,
                 description="general matrix-vector product",
-                flags={"left_op": left, "right_op": "N", "structure": "general"},
             )
         )
     return kernels
@@ -382,7 +354,6 @@ def build_gevm_kernels() -> List[Kernel]:
                 operands=("X", "Y"),
                 cost=cost,
                 efficiency=EFFICIENCY["GEVM"],
-                runtime="product",
                 julia_template=(
                     "gemv!('T', 1.0, " + _np_operand("{Y}", right) + ", {X}, 0.0, {out})"
                 ),
@@ -391,7 +362,6 @@ def build_gevm_kernels() -> List[Kernel]:
                 ),
                 level=2,
                 description="row vector times matrix",
-                flags={"left_op": left, "right_op": right, "structure": "general"},
             )
         )
     return kernels
@@ -422,14 +392,12 @@ def build_ger_kernels() -> List[Kernel]:
                 operands=("X", "Y"),
                 cost=cost,
                 efficiency=EFFICIENCY["GER"],
-                runtime="product",
                 julia_template="ger!(1.0, {X}, {Y}, {out})",
                 numpy_template=(
                     "{out} = " + _np_operand("{X}", left) + " @ " + _np_operand("{Y}", right)
                 ),
                 level=2,
                 description="outer product of two vectors",
-                flags={"left_op": left, "right_op": right, "structure": "general"},
             )
         )
     return kernels
@@ -460,14 +428,12 @@ def build_dot_kernels() -> List[Kernel]:
                 operands=("X", "Y"),
                 cost=cost,
                 efficiency=EFFICIENCY["DOT"],
-                runtime="product",
                 julia_template="{out} = dot({X}, {Y})",
                 numpy_template=(
                     "{out} = " + _np_operand("{X}", left) + " @ " + _np_operand("{Y}", right)
                 ),
                 level=1,
                 description="inner product of two vectors",
-                flags={"left_op": left, "right_op": right, "structure": "general"},
             )
         )
     return kernels
@@ -502,14 +468,12 @@ def build_scal_kernels() -> List[Kernel]:
                 operands=("X", "Y"),
                 cost=cost,
                 efficiency=EFFICIENCY["SCALMM"],
-                runtime="product",
                 julia_template="{out} = {X} .* {Y}",
                 numpy_template=(
                     "{out} = " + _np_operand("{X}", left) + " @ " + _np_operand("{Y}", right)
                 ),
                 level=1,
                 description="multiplication by a 1x1 (scalar) operand",
-                flags={"left_op": left, "right_op": right, "structure": "general"},
             )
         )
     return kernels

@@ -52,7 +52,6 @@ def build_trmv_kernels() -> List[Kernel]:
                     operands=("X", "Y"),
                     cost=cost,
                     efficiency=EFFICIENCY["TRMV"],
-                    runtime="product",
                     julia_template=(
                         f"trmv!('{uplo_char}', '{trans}', 'N', {{X}}, {{Y}})"
                     ),
@@ -61,13 +60,6 @@ def build_trmv_kernels() -> List[Kernel]:
                     ),
                     level=2,
                     description="triangular matrix-vector product",
-                    flags={
-                        "left_op": trans,
-                        "right_op": "N",
-                        "structure": "triangular",
-                        "side": "L",
-                        "uplo": uplo,
-                    },
                 )
             )
     return kernels
@@ -93,12 +85,10 @@ def build_symv_kernels() -> List[Kernel]:
             operands=("X", "Y"),
             cost=cost,
             efficiency=EFFICIENCY["SYMV"],
-            runtime="product",
             julia_template="symv!('L', 1.0, {X}, {Y}, 0.0, {out})",
             numpy_template="{out} = {X} @ {Y}",
             level=2,
             description="symmetric matrix-vector product",
-            flags={"left_op": "N", "right_op": "N", "structure": "symmetric", "side": "L"},
         )
     ]
 
@@ -130,7 +120,6 @@ def build_trsv_kernels() -> List[Kernel]:
                     operands=("X", "Y"),
                     cost=cost,
                     efficiency=EFFICIENCY["TRSV"],
-                    runtime="solve",
                     julia_template=f"trsv!('{uplo_char}', '{trans_char}', 'N', {{X}}, {{Y}})",
                     numpy_template=(
                         "{out} = solve_triangular({X}, {Y}"
@@ -139,13 +128,6 @@ def build_trsv_kernels() -> List[Kernel]:
                     ),
                     level=2,
                     description="triangular solve with a single right-hand side",
-                    flags={
-                        "left_op": code,
-                        "right_op": "N",
-                        "structure": "triangular",
-                        "side": "L",
-                        "uplo": uplo,
-                    },
                 )
             )
     return kernels

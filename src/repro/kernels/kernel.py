@@ -12,8 +12,9 @@ is characterized by:
   which the performance cost metric of Section 3.3 uses to convert FLOPs
   into estimated execution time;
 * code templates used by the code generators (Julia-flavoured BLAS calls as
-  in Table 2, and NumPy statements);
-* the name of the NumPy runtime routine that executes it.
+  in Table 2, and NumPy statements).  The NumPy statement is the kernel's
+  only executable description: the interpreter, the ``numpy`` emitter and
+  the emitted modules all run it.
 
 A :class:`KernelCall` is one step of a generated program: a kernel applied to
 concrete operands producing a named output.
@@ -66,12 +67,13 @@ class Kernel:
         Fraction of machine peak this kernel typically achieves; used by the
         performance cost metric (Section 3.3).  Compute-bound BLAS-3 kernels
         are close to 1, memory-bound BLAS-1/2 kernels are far below.
-    runtime:
-        Name of the NumPy runtime routine implementing the kernel
-        (see :mod:`repro.runtime.kernels_numpy`).
     julia_template / numpy_template:
         ``str.format`` templates over the operand wildcard names plus
-        ``{out}``, used by the code generators.
+        ``{out}``, used by the code generators.  The rendered NumPy
+        statement is what executes the kernel, in the interpreter
+        (:class:`repro.runtime.executor.Executor`) and in emitted code
+        alike; it may call the helpers of
+        :mod:`repro.runtime.kernels_numpy`.
     level:
         BLAS level (1, 2, 3) or the string ``"lapack"``.
     memory:
@@ -87,15 +89,11 @@ class Kernel:
     operands: Tuple[str, ...]
     cost: CostFunction
     efficiency: float
-    runtime: str
     julia_template: str
     numpy_template: str
     level: object = 3
     memory: Optional[MemoryFunction] = None
     description: str = ""
-    #: Free-form routine flags (side, uplo, transposition, ...) consumed by the
-    #: NumPy runtime and the code generators.
-    flags: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.efficiency <= 1.0:

@@ -136,7 +136,6 @@ def _solve_family(
                     operands=("X", "Y"),
                     cost=cost,
                     efficiency=efficiency,
-                    runtime="solve",
                     julia_template=(
                         f"{julia_name}!("
                         + ("{X}, {Y}" if side == "L" else "{Y}, {X}")
@@ -162,12 +161,6 @@ def _solve_family(
                     ),
                     level="lapack",
                     description=f"linear-system solve with a {structure} coefficient matrix",
-                    flags={
-                        "left_op": left,
-                        "right_op": right,
-                        "structure": structure,
-                        "side": side,
-                    },
                 )
             )
     return kernels
@@ -179,7 +172,7 @@ def build_trsm_kernels() -> List[Kernel]:
         def constraints_for(name: str, uplo=uplo) -> Tuple[Constraint, ...]:
             return (helpers.triangular(name, uplo), helpers.not_diagonal(name))
 
-        family = _solve_family(
+        kernels += _solve_family(
             family=f"trsm_{uplo}",
             display_name="TRSM",
             structure="triangular",
@@ -189,9 +182,6 @@ def build_trsm_kernels() -> List[Kernel]:
             numpy_solver="solve_triangular",
             efficiency=EFFICIENCY["TRSM"],
         )
-        for kernel in family:
-            kernel.flags.update(uplo=uplo)  # type: ignore[attr-defined]
-        kernels.extend(family)
     return kernels
 
 
@@ -287,7 +277,6 @@ def build_combined_inverse_kernels() -> List[Kernel]:
                     operands=("X", "Y"),
                     cost=cost,
                     efficiency=EFFICIENCY["GESV2"],
-                    runtime="solve_both",
                     julia_template="gesv!({X}, getri!({Y}))",
                     numpy_template=(
                         "{out} = lu_solve({X}, invert("
@@ -298,7 +287,6 @@ def build_combined_inverse_kernels() -> List[Kernel]:
                     ),
                     level="lapack",
                     description="product of two inverted operands (composite kernel)",
-                    flags={"left_op": left, "right_op": right, "structure": "general"},
                 )
             )
     return kernels
@@ -347,7 +335,7 @@ def build_inversion_kernels() -> List[Kernel]:
         ),
     ]
     for code in ("I", "IT"):
-        for base_id, display, constraints, structure, cost_fn, runtime, julia in specs:
+        for base_id, display, constraints, structure, cost_fn, helper, julia in specs:
             pattern_expr, _ = helpers.unary_pattern(code)
             efficiency_key = display if display in EFFICIENCY else "GETRI"
 
@@ -364,14 +352,12 @@ def build_inversion_kernels() -> List[Kernel]:
                     operands=("X",),
                     cost=cost,
                     efficiency=EFFICIENCY[efficiency_key],
-                    runtime=runtime,
                     julia_template=julia,
-                    numpy_template="{out} = " + runtime + "({X}"
+                    numpy_template="{out} = " + helper + "({X}"
                     + (".T" if code == "IT" else "")
                     + ")",
                     level="lapack",
                     description=f"explicit inversion of a {structure} matrix",
-                    flags={"op": code, "structure": structure},
                 )
             )
     return kernels
@@ -398,13 +384,11 @@ def build_transpose_kernel() -> List[Kernel]:
             operands=("X",),
             cost=cost,
             efficiency=EFFICIENCY["TRANS"],
-            runtime="transpose",
             julia_template="{out} = copy(transpose({X}))",
             numpy_template="{out} = {X}.T.copy()",
             level=1,
             memory=memory,
             description="explicit out-of-place transposition",
-            flags={"op": "T", "structure": "general"},
         )
     ]
 

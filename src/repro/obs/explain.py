@@ -138,10 +138,7 @@ def explain_execution(response) -> str:
             lines.append(f"  {label + ':':<10} {timing[key] * 1e3:.3f} ms")
     cache = "hit (emit + import skipped)" if response.module_cache_hit else "miss"
     lines.append(f"  module cache:    {cache}")
-    engine = response.engine
-    if response.implementation:
-        engine = f"{engine} ({response.implementation})"
-    lines.append(f"  engine:          {engine}")
+    lines.append(f"  engine:          {response.engine}")
     if response.validated is not None:
         verdict = "agrees with reference" if response.validated else "DIVERGED"
         error = response.max_rel_error

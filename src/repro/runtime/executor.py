@@ -2,46 +2,52 @@
 
 The executor interprets a :class:`~repro.kernels.kernel.Program` -- produced
 by the GMC algorithm or by one of the baseline strategies -- against an
-environment mapping operand names to NumPy arrays.  Dispatch is driven by
-each kernel's ``runtime`` name and ``flags`` (operand wrappers, side,
-structure), so executing a program and generating NumPy source from it give
-identical results.
+environment mapping operand names to NumPy arrays.  Each call runs the
+statement its kernel's ``numpy_template`` renders (:meth:`KernelCall.numpy`),
+the very statement the ``numpy`` and ``module`` emitters write out, with the
+operands as locals and NumPy, SciPy and the
+:mod:`~repro.runtime.kernels_numpy` helpers as globals.  A kernel therefore
+has one executable description, and the interpreter computes what the
+emitted code computes.
 
 The executor is the measurement backend of the experiment harness: the
 paper's Fig. 8/9 compare *execution times* of the programs generated by
 different strategies, and here those times are obtained by running the
-programs through this interpreter on property-respecting random operands.
+programs' emitted statements on property-respecting random operands.  Each
+distinct statement is compiled once (:func:`compiled_statement`), so a timed
+run does no parsing.
 """
 
 from __future__ import annotations
 
+import functools
+from types import CodeType
 from typing import Dict, Mapping, Optional
 
 import numpy as np
+from scipy import linalg as scipy_linalg
 
-from ..algebra.expression import Expression, Matrix
 from ..kernels.kernel import KernelCall, Program
-from . import kernels_numpy as backend
+from . import kernels_numpy
 
 
 class ExecutionError(RuntimeError):
     """Raised when a program step cannot be executed."""
 
 
-_SOLVERS = {
-    "triangular": backend.solve_triangular,
-    "spd": backend.cholesky_solve,
-    "symmetric": backend.symmetric_solve,
-    "general": backend.lu_solve,
-    "diagonal": backend.diagonal_solve,
+#: Globals of every executed statement: what an emitted module imports or
+#: inlines.
+_NAMESPACE: Dict[str, object] = {
+    "np": np,
+    "scipy_linalg": scipy_linalg,
+    **{name: getattr(kernels_numpy, name) for name in kernels_numpy.__all__},
 }
 
-_INVERTERS = {
-    "invert": backend.invert,
-    "invert_spd": backend.invert_spd,
-    "invert_triangular": backend.invert_triangular,
-    "invert_diagonal": backend.invert_diagonal,
-}
+
+@functools.lru_cache(maxsize=1024)
+def compiled_statement(statement: str) -> CodeType:
+    """The code object of one rendered kernel statement, compiled once."""
+    return compile(statement, "<kernel>", "exec")
 
 
 class Executor:
@@ -79,84 +85,16 @@ class Executor:
         return result
 
     def execute_call(self, call: KernelCall) -> np.ndarray:
-        """Execute a single kernel call and store its result."""
-        kernel = call.kernel
-        flags = dict(kernel.flags)
-        runtime = kernel.runtime
-        if runtime == "product":
-            left = self._wrapped_value(call, "X", flags.get("left_op", "N"))
-            right = self._wrapped_value(call, "Y", flags.get("right_op", "N"))
-            result = backend.product(left, right)
-        elif runtime == "syrk":
-            operand = self._operand_value(call, "X")
-            result = backend.syrk(operand, trans=flags.get("trans", "T"))
-        elif runtime == "solve":
-            result = self._execute_solve(call, flags)
-        elif runtime == "solve_both":
-            result = self._execute_solve_both(call, flags)
-        elif runtime in _INVERTERS:
-            operand = self._operand_value(call, "X")
-            if flags.get("op") == "IT":
-                operand = operand.T
-            result = _INVERTERS[runtime](operand)
-        elif runtime == "transpose":
-            result = backend.transpose(self._operand_value(call, "X"))
-        else:
-            raise ExecutionError(f"unknown runtime routine {runtime!r} for kernel {kernel.id}")
-        self._environment[call.output.name] = result
-        return result
-
-    # -------------------------------------------------------------- internals
-    def _operand_value(self, call: KernelCall, wildcard: str) -> np.ndarray:
-        expr = call.substitution.get(wildcard)
-        if expr is None:
+        """Run the NumPy statement of a single kernel call and return its
+        result (also stored under the call's output name)."""
+        statement = call.numpy()
+        try:
+            exec(compiled_statement(statement), _NAMESPACE, self._environment)
+        except NameError as exc:
             raise ExecutionError(
-                f"kernel {call.kernel.id} expects operand {wildcard!r} but the "
-                "substitution does not bind it"
-            )
-        return self._expression_value(expr)
-
-    def _expression_value(self, expr: Expression) -> np.ndarray:
-        if isinstance(expr, Matrix):
-            return self.value(expr.name)
-        raise ExecutionError(f"operand {expr} is not a leaf; programs bind leaves only")
-
-    def _wrapped_value(self, call: KernelCall, wildcard: str, code: str) -> np.ndarray:
-        value = self._operand_value(call, wildcard)
-        if code == "N":
-            return value
-        if code == "T":
-            return value.T
-        raise ExecutionError(
-            f"kernel {call.kernel.id}: operand {wildcard} uses wrapper {code!r} "
-            "which the product runtime cannot apply"
-        )
-
-    def _execute_solve(self, call: KernelCall, flags: Mapping[str, object]) -> np.ndarray:
-        structure = str(flags.get("structure", "general"))
-        solver = _SOLVERS.get(structure)
-        if solver is None:
-            raise ExecutionError(f"no solver for structure {structure!r}")
-        side = str(flags.get("side", "L"))
-        left_op = str(flags.get("left_op", "N"))
-        right_op = str(flags.get("right_op", "N"))
-        if side == "L":
-            coefficient = self._operand_value(call, "X")
-            transposed = left_op == "IT"
-            rhs = self._wrapped_value(call, "Y", right_op)
-        else:
-            coefficient = self._operand_value(call, "Y")
-            transposed = right_op == "IT"
-            rhs = self._wrapped_value(call, "X", left_op)
-        return solver(coefficient, rhs, transposed=transposed, side=side)
-
-    def _execute_solve_both(self, call: KernelCall, flags: Mapping[str, object]) -> np.ndarray:
-        left_op = str(flags.get("left_op", "I"))
-        right_op = str(flags.get("right_op", "I"))
-        left = self._operand_value(call, "X")
-        right = self._operand_value(call, "Y")
-        right_inverse = backend.invert(right.T if right_op == "IT" else right)
-        return backend.lu_solve(left, right_inverse, transposed=left_op == "IT", side="L")
+                f"kernel {call.kernel.id} cannot run {statement!r}: {exc}"
+            ) from exc
+        return self.value(call.output.name)
 
 
 def execute_program(program: Program, values: Mapping[str, np.ndarray]) -> np.ndarray:

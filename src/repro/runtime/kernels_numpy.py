@@ -1,11 +1,13 @@
-"""NumPy/SciPy implementations of every kernel in the catalog.
+"""NumPy/SciPy helper routines for the solve and inversion kernels.
 
 This module is the numerical runtime substituting for the MKL-backed BLAS
-and LAPACK libraries used in the paper's evaluation.  Each helper implements
-one kernel family; the :class:`~repro.runtime.executor.Executor` dispatches
-kernel calls onto these helpers, and the NumPy code generator emits source
-that calls them directly -- so the interpreter and generated code share one
-implementation.
+and LAPACK libraries used in the paper's evaluation.  Products, SYRK and
+transposes render as plain ``@``/``.T`` statements; the solve and inversion
+kernels' NumPy statements call the helpers below.  The
+:class:`~repro.runtime.executor.Executor` runs those statements with these
+helpers in its namespace, and the code generators inline their source into
+emitted code (:mod:`repro.codegen.runtime_inline`) -- so the interpreter and
+generated code share one implementation.
 
 The helpers accept a ``side`` argument mirroring BLAS (``'L'``: the
 structured/inverted operand is on the left of the product; ``'R'``: on the
@@ -18,6 +20,19 @@ from __future__ import annotations
 import numpy as np
 from scipy import linalg as scipy_linalg
 
+#: The helpers kernel statements may call, in rendering order.
+__all__ = [
+    "solve_triangular",
+    "cholesky_solve",
+    "symmetric_solve",
+    "lu_solve",
+    "diagonal_solve",
+    "invert",
+    "invert_spd",
+    "invert_triangular",
+    "invert_diagonal",
+]
+
 
 def _is_lower(matrix: np.ndarray) -> bool:
     return bool(np.allclose(matrix, np.tril(matrix)))
@@ -27,19 +42,6 @@ def _as_matrix(array: np.ndarray) -> np.ndarray:
     if array.ndim == 1:
         return array.reshape(-1, 1)
     return array
-
-
-def product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """General product; used for GEMM/TRMM/SYMM/DIAGMM/GEMV/GER/DOT/SCAL."""
-    return _as_matrix(left) @ _as_matrix(right)
-
-
-def syrk(operand: np.ndarray, trans: str = "T") -> np.ndarray:
-    """Gram matrix ``A^T A`` (``trans='T'``) or ``A A^T`` (``trans='N'``)."""
-    operand = _as_matrix(operand)
-    if trans == "T":
-        return operand.T @ operand
-    return operand @ operand.T
 
 
 def solve_triangular(
@@ -147,7 +149,3 @@ def invert_diagonal(matrix: np.ndarray) -> np.ndarray:
     matrix = _as_matrix(matrix)
     return np.diag(1.0 / np.diag(matrix))
 
-
-def transpose(matrix: np.ndarray) -> np.ndarray:
-    """TRANS: explicit out-of-place transposition."""
-    return _as_matrix(matrix).T.copy()

@@ -328,7 +328,6 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                 key="http-execute-validation",
                 request_id=response.request_id,
                 engine=response.engine,
-                implementation=response.implementation,
                 max_rel_error=response.max_rel_error,
                 worker=response.worker,
                 error=response.error,

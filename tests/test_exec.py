@@ -276,7 +276,6 @@ class TestRunExecuteRequest:
     def test_chain_executes_and_validates(self):
         response = run_execute_request(_request(seed=4))
         assert response.ok and response.validated
-        assert response.implementation == "numpy"
         assert response.max_rel_error < 1e-8
         summary = response.results[0]
         assert summary["target"] == "X"
@@ -296,34 +295,35 @@ class TestRunExecuteRequest:
     @pytest.mark.parametrize(
         "source", [CHAIN_SOURCE, DAG_SOURCE, PRODUCT_CHAIN_SOURCE, KALMAN_DAG_SOURCE]
     )
-    def test_module_matches_interpreter_across_matrix(self, prune, metric, source):
+    def test_module_matches_reference_across_matrix(self, prune, metric, source):
         request = ExecuteRequest.from_dict(
             {
                 "source": source,
                 "options": {"prune": prune, "metric": metric},
-                "execute": {"engine": "both", "seed": 2},
+                "execute": {"seed": 2},
             }
         )
         response = run_execute_request(request)
         assert response.ok, response.error
-        assert response.engines_match and response.validated
+        assert response.validated
 
     def test_transposed_solve_kernels_render_correctly(self):
         # Regression test for the numpy templates dropping the rhs transpose
-        # code, which made the emitted module diverge from (or crash where)
-        # the interpreter ran.
+        # code, which made the emitted module diverge from the reference
+        # (or crash).
         request = ExecuteRequest.from_dict(
-            {"source": KALMAN_DAG_SOURCE, "execute": {"engine": "both", "seed": 3}}
+            {"source": KALMAN_DAG_SOURCE, "execute": {"seed": 3}}
         )
         response = run_execute_request(request)
         assert response.ok, response.error
-        assert response.engines_match and response.validated
+        assert response.validated
         assert response.max_rel_error < 1e-8
 
-    def test_interpreter_engine(self):
-        response = run_execute_request(_request(engine="interpreter"))
-        assert response.ok and response.implementation == "interpreter"
-        assert response.validated
+    @pytest.mark.parametrize("engine", ["interpreter", "both"])
+    def test_removed_engines_rejected(self, engine):
+        response = run_execute_request(_request(engine=engine))
+        assert not response.ok and response.phase == "request"
+        assert "unknown engine" in response.error
 
     def test_explicit_payloads_validate(self):
         rng = np.random.default_rng(3)
@@ -499,10 +499,11 @@ class TestExecuteEndpoint:
     def test_execute_dag_program(self, exec_service):
         status, body, _ = _post(
             f"{exec_service}/execute",
-            {"source": DAG_SOURCE, "execute": {"engine": "both"}},
+            {"source": DAG_SOURCE, "execute": {"engine": "module"}},
         )
-        assert status == 200 and body["ok"]
-        assert body["engines_match"] and body["results"][0]["target"] == "Z"
+        assert status == 200 and body["ok"] and body["validated"]
+        assert body["results"][0]["target"] == "Z"
+        assert "engines_match" not in body and "implementation" not in body
 
     @pytest.mark.parametrize(
         "execute, message",
@@ -514,6 +515,8 @@ class TestExecuteEndpoint:
             ({"validate": 0}, "'validate' must be a boolean"),
             ({"rtol": "nan"}, "must be finite"),
             ({"atol": "inf"}, "must be finite"),
+            ({"engine": "interpreter"}, "unknown engine"),
+            ({"engine": "both"}, "unknown engine"),
         ],
     )
     def test_execute_malformed_body_is_400(self, exec_service, execute, message):

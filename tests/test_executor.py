@@ -1,5 +1,7 @@
 """Tests for program execution, operand instantiation and reference evaluation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from repro.runtime import (
     instantiate_matrix,
     time_program,
 )
+from repro.runtime.executor import compiled_statement
 from repro.runtime.reference import ReferenceEvaluationError
 from repro.runtime.timing import estimate_time, time_callable
 
@@ -233,6 +236,28 @@ class TestExecutor:
 
         with pytest.raises(ExecutionError):
             Executor().execute(Program(calls=[], output=None))
+
+    def test_execute_call_runs_the_kernel_numpy_template(self, rng):
+        # The interpreter has no per-family dispatch: a kernel whose template
+        # says "copy X" computes a copy of X, not the product its pattern
+        # names.
+        program = generate_program(Times(Matrix("A", 4, 3), Matrix("B", 3, 5)))
+        (call,) = program.calls
+        copy_x = dataclasses.replace(call.kernel, numpy_template="{out} = {X}")
+        call = dataclasses.replace(call, kernel=copy_x)
+        a = rng.standard_normal((4, 3))
+        result = Executor({"A": a, "B": rng.standard_normal((3, 5))}).execute_call(call)
+        np.testing.assert_array_equal(result, a)
+
+    def test_statements_compile_once(self, rng):
+        expr = Times(Matrix("A", 6, 6, {Property.SPD}).I, Matrix("B", 6, 4), Matrix("C", 4, 3))
+        program = generate_program(expr)
+        env = instantiate_expression(expr, seed=0)
+        first = Executor().execute(program, env)
+        misses = compiled_statement.cache_info().misses
+        second = Executor().execute(program, env)
+        assert compiled_statement.cache_info().misses == misses
+        np.testing.assert_array_equal(first, second)
 
 
 class TestTiming:

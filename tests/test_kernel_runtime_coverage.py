@@ -2,10 +2,11 @@
 
 For every kernel in the default catalog this test constructs concrete
 operands that satisfy the kernel's pattern and constraints, executes the
-kernel through the NumPy runtime, and compares the result against a direct
-reference evaluation of the matched expression.  This guarantees that the
-symbolic layer (patterns, constraints, flags) and the numerical layer
-(runtime dispatch) agree for the *whole* catalog, not just the kernels the
+kernel's NumPy statement -- through the interpreter and through an emitted
+standalone module -- and compares the result against a direct reference
+evaluation of the matched expression.  This guarantees that the symbolic
+layer (patterns, constraints) and the numerical layer (the rendered
+``numpy_template``) agree for the *whole* catalog, not just the kernels the
 other tests happen to exercise.
 """
 
@@ -20,7 +21,9 @@ import pytest
 from repro.algebra.expression import Expression, Matrix
 from repro.algebra.properties import Property
 from repro.kernels import default_catalog
-from repro.kernels.kernel import Kernel, KernelCall
+from repro.exec.emitter import generate_module
+from repro.exec.loader import ModuleLoader
+from repro.kernels.kernel import Kernel, KernelCall, Program
 from repro.matching.patterns import Substitution, match
 from repro.runtime.executor import Executor
 from repro.runtime.operands import instantiate_matrix
@@ -92,8 +95,23 @@ def _instantiate_pattern(pattern_expr: Expression, bindings) -> Expression:
 _CATALOG = default_catalog()
 
 
+@pytest.fixture(scope="module")
+def loader(tmp_path_factory):
+    return ModuleLoader(directory=str(tmp_path_factory.mktemp("kernel_modules")))
+
+
+def _run(path: str, call: KernelCall, environment, loader: ModuleLoader) -> np.ndarray:
+    """Run one kernel call through the interpreter or an emitted module."""
+    if path == "executor":
+        return Executor(environment).execute_call(call)
+    program = Program(calls=[call], output=call.output, expression=call.expression)
+    loaded = loader.load(generate_module(program), key=call.kernel.id)
+    return loaded.run(environment)
+
+
+@pytest.mark.parametrize("path", ["executor", "module"])
 @pytest.mark.parametrize("kernel", list(_CATALOG), ids=lambda k: k.id)
-def test_every_kernel_matches_some_operands_and_executes_correctly(kernel):
+def test_every_kernel_matches_some_operands_and_executes_correctly(kernel, path, loader):
     found = _find_substitution(kernel)
     assert found is not None, f"no candidate operands satisfy kernel {kernel.id}"
     subject, substitution = found
@@ -110,8 +128,7 @@ def test_every_kernel_matches_some_operands_and_executes_correctly(kernel):
         environment[operand.name] = instantiate_matrix(operand, rng)
     output = Matrix("OUT", subject.rows, subject.columns)
     call = KernelCall(kernel=kernel, substitution=substitution, output=output, expression=subject)
-    executor = Executor(environment)
-    result = executor.execute_call(call)
+    result = _run(path, call, environment, loader)
     reference = evaluate(subject, environment)
     np.testing.assert_allclose(result, reference.reshape(result.shape), rtol=1e-7, atol=1e-8)
 

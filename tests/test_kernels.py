@@ -76,7 +76,6 @@ class TestKernelValidation:
                 operands=("X", "Y"),
                 cost=lambda s: 1.0,
                 efficiency=0.0,
-                runtime="product",
                 julia_template="",
                 numpy_template="",
             )
@@ -90,7 +89,6 @@ class TestKernelValidation:
                 operands=("X", "Z"),
                 cost=lambda s: 1.0,
                 efficiency=0.5,
-                runtime="product",
                 julia_template="",
                 numpy_template="",
             )
@@ -103,7 +101,6 @@ class TestKernelValidation:
             operands=("X", "Y"),
             cost=lambda s: 1.0,
             efficiency=0.5,
-            runtime="product",
             julia_template="",
             numpy_template="",
         )

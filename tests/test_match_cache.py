@@ -148,7 +148,6 @@ class TestMatchCacheInvalidation:
             operands=("X", "Y"),
             cost=lambda s: 1.0,
             efficiency=0.9,
-            runtime="gemm",
             julia_template="{out} = {X} * {Y}",
             numpy_template="{out} = {X} @ {Y}",
         )
@@ -172,7 +171,6 @@ class TestMatchCacheInvalidation:
             operands=("X", "Y"),
             cost=lambda s: 1.0,
             efficiency=0.9,
-            runtime="gemm",
             julia_template="{out} = {X} * {Y}",
             numpy_template="{out} = {X} @ {Y}",
         )
@@ -214,7 +212,6 @@ class TestMatchCacheInvalidation:
             operands=("X", "Y"),
             cost=lambda s: 1.0,
             efficiency=0.9,
-            runtime="gemm",
             julia_template="{out} = {X} * {Y}",
             numpy_template="{out} = {X} @ {Y}",
         )
@@ -238,7 +235,6 @@ class TestMatchCacheInvalidation:
             operands=("Y",),
             cost=lambda s: 1.0,
             efficiency=0.9,
-            runtime="gemm",
             julia_template="{out} = {Y}",
             numpy_template="{out} = {Y}",
         )

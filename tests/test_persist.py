@@ -186,7 +186,6 @@ class TestPlanCacheInvalidation:
             operands=("X", "Y"),
             cost=lambda s: 1.0,
             efficiency=0.9,
-            runtime="gemm",
             julia_template="{out} = {X} * {Y}",
             numpy_template="{out} = {X} @ {Y}",
         )

@@ -22,26 +22,6 @@ def _lower(rng, n):
     return a
 
 
-class TestProducts:
-    def test_product(self, rng):
-        a = rng.standard_normal((4, 3))
-        b = rng.standard_normal((3, 5))
-        np.testing.assert_allclose(backend.product(a, b), a @ b)
-
-    def test_product_promotes_1d_vectors(self, rng):
-        a = rng.standard_normal((4, 3))
-        v = rng.standard_normal(3)
-        assert backend.product(a, v).shape == (4, 1)
-
-    def test_syrk_transposed(self, rng):
-        a = rng.standard_normal((6, 4))
-        np.testing.assert_allclose(backend.syrk(a, trans="T"), a.T @ a)
-
-    def test_syrk_untransposed(self, rng):
-        a = rng.standard_normal((6, 4))
-        np.testing.assert_allclose(backend.syrk(a, trans="N"), a @ a.T)
-
-
 class TestTriangularSolves:
     def test_left_lower(self, rng):
         lower = _lower(rng, 5)
@@ -163,8 +143,3 @@ class TestInversion:
     def test_invert_diagonal(self, rng):
         diag = np.diag(rng.uniform(1.0, 3.0, size=5))
         np.testing.assert_allclose(backend.invert_diagonal(diag), np.linalg.inv(diag))
-
-    def test_transpose(self, rng):
-        a = rng.standard_normal((4, 6))
-        np.testing.assert_allclose(backend.transpose(a), a.T)
-        assert backend.transpose(a).flags["OWNDATA"]
