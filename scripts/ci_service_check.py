@@ -40,7 +40,10 @@ worker pool), then drives the acceptance workload against it:
    computation, proving cross-process key stability), ``GET /metrics``
    must carry a positive ``repro_compile_phase_latency_seconds`` p99
    quantile series, and its ``repro_request_latency_seconds_count`` must
-   have recorded the ``/compile`` requests.
+   have recorded the ``/compile`` requests;
+9. **BLAS threads**: every worker in ``GET /stats`` must report at least
+   one loaded OpenBLAS, each set to one thread (the pool's parallelism is
+   its worker processes).
 
 With ``--snapshot``, a second phase exercises **snapshot-backed warm
 boot**: the server is restarted against a shared ``--snapshot-dir`` after
@@ -203,6 +206,25 @@ def execute_check(base: str) -> int:
         f"execute tier: seeded (max rel error {seeded_error:.3g}), "
         f"explicit-payload and DAG runs all validated server-side"
     )
+    return 0
+
+
+def blas_threads_check(stats: dict) -> int:
+    """Phase: every pool worker runs each loaded OpenBLAS on one thread.
+
+    NumPy and SciPy bundle separate OpenBLAS copies; with their default
+    thread pools they fight over the cores a worker already owns.
+    """
+    for entry in stats.get("per_worker", []):
+        threads = entry.get("blas_threads")
+        if not threads:
+            return fail(f"worker {entry.get('worker')} reports no OpenBLAS: {threads!r}")
+        if any(count != 1 for count in threads.values()):
+            return fail(
+                f"worker {entry.get('worker')} runs BLAS on more than one "
+                f"thread: {threads}"
+            )
+    print(f"BLAS threads per worker: {stats['per_worker'][0]['blas_threads']}")
     return 0
 
 
@@ -659,6 +681,10 @@ def main(argv=None) -> int:
             return fail(
                 f"warm pooled hit rate {hit_rate:.3f} < {args.min_hit_rate:.3f}"
             )
+
+        problem = blas_threads_check(stats_warm)
+        if problem:
+            return problem
 
         problem = dag_check(base)
         if problem:

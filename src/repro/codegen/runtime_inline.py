@@ -31,7 +31,7 @@ __all__ = [
 HELPER_NAMES: Tuple[str, ...] = tuple(kernels_numpy.__all__)
 
 #: Private prerequisites some helpers call; rendered first when referenced.
-_PRIVATE_HELPERS: Tuple[str, ...] = ("_is_lower", "_as_matrix")
+_PRIVATE_HELPERS: Tuple[str, ...] = ("_as_matrix",)
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -43,9 +43,10 @@ def _source_of(name: str) -> str:
 def helpers_used(statements: Iterable[str]) -> List[str]:
     """The helper routines referenced by *statements*, in canonical order.
 
-    Products, SYRK and transposes render as plain ``@``/``.T`` expressions;
-    only the solve and inversion families call helpers, so a token scan of
-    the rendered statements finds every dependency.
+    Products and transposes render as plain NumPy expressions (``@``,
+    ``*``, ``np.diagonal``, ``.T``); only the solve and inversion families
+    call helpers, so a token scan of the rendered statements finds every
+    dependency.
     """
     referenced = set()
     for statement in statements:
@@ -57,7 +58,7 @@ def render_helpers(names: Iterable[str]) -> Tuple[str, bool]:
     """Source text of the named helpers plus their private prerequisites.
 
     Returns ``(source, needs_scipy)``: the definitions in dependency order
-    (private ``_is_lower``/``_as_matrix`` first), and whether any of them
+    (private ``_as_matrix`` first), and whether any of them
     uses :mod:`scipy.linalg` (so the caller knows to import it).
     """
     requested = [name for name in HELPER_NAMES if name in set(names)]

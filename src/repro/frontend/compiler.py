@@ -805,10 +805,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"(the 'options' object of POST /compile)"
             )
         from ..obs.logging import configure_logging
+        from ..runtime.blas_threads import limit_blas_threads
         from ..service.http import run_server
         from ..service.pool import create_executor
 
         configure_logging(args.log_level)
+        # An in-process server runs the generated code in this process.  A
+        # pool's dispatcher runs no BLAS, but limiting it before the fork
+        # lets the workers inherit one thread per library instead of
+        # rebuilding OpenBLAS's thread pools at boot.
+        limit_blas_threads()
         executor = create_executor(
             workers=args.workers,
             in_process=args.in_process,

@@ -265,6 +265,18 @@ def build_diagmm_kernels() -> List[Kernel]:
                 m, _, n = helpers.product_dims(substitution, left, right)
                 return flops.diagmm(m, n)
 
+            # Row (side L) or column (side R) scaling by the diagonal: m*n
+            # work instead of a dense GEMM.  On side L a 1-D vector is
+            # reshaped to a column first, so it cannot broadcast to n x n.
+            if side == "L":
+                numpy_template = (
+                    "{out} = np.diagonal({X})[:, None] * "
+                    + _np_operand("{Y}", right)
+                    + ".reshape(len({X}), -1)"
+                )
+            else:
+                numpy_template = "{out} = " + _np_operand("{X}", left) + " * np.diagonal({Y})"
+
             kernels.append(
                 Kernel(
                     id=f"diagmm_{side.lower()}_{other_op.lower()}",
@@ -281,9 +293,7 @@ def build_diagmm_kernels() -> List[Kernel]:
                         + ") * "
                         + ("{Y}" if side == "L" else "{X}")
                     ),
-                    numpy_template=(
-                        "{out} = " + _np_operand("{X}", left) + " @ " + _np_operand("{Y}", right)
-                    ),
+                    numpy_template=numpy_template,
                     level=3,
                     description="diagonal matrix scaling of a general matrix",
                 )
@@ -470,7 +480,7 @@ def build_scal_kernels() -> List[Kernel]:
                 efficiency=EFFICIENCY["SCALMM"],
                 julia_template="{out} = {X} .* {Y}",
                 numpy_template=(
-                    "{out} = " + _np_operand("{X}", left) + " @ " + _np_operand("{Y}", right)
+                    "{out} = " + _np_operand("{X}", left) + " * " + _np_operand("{Y}", right)
                 ),
                 level=1,
                 description="multiplication by a 1x1 (scalar) operand",

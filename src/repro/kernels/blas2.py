@@ -122,7 +122,7 @@ def build_trsv_kernels() -> List[Kernel]:
                     efficiency=EFFICIENCY["TRSV"],
                     julia_template=f"trsv!('{uplo_char}', '{trans_char}', 'N', {{X}}, {{Y}})",
                     numpy_template=(
-                        "{out} = solve_triangular({X}, {Y}"
+                        f"{{out}} = solve_triangular({{X}}, {{Y}}, lower={uplo == 'lower'}"
                         + (", transposed=True" if code == "IT" else "")
                         + ")"
                     ),

@@ -103,8 +103,13 @@ def _solve_family(
     julia_name: str,
     numpy_solver: str,
     efficiency: float,
+    numpy_options: str = "",
 ) -> List[Kernel]:
-    """Generate the left- and right-side variants of one solve family."""
+    """Generate the left- and right-side variants of one solve family.
+
+    *numpy_options* is appended to every NumPy helper call after the two
+    operands (TRSM passes its uplo as ``, lower=...``).
+    """
     kernels: List[Kernel] = []
     for side, variants in (("L", _left_solve_variants()), ("R", _right_solve_variants())):
         for suffix, left, right in variants:
@@ -155,6 +160,7 @@ def _solve_family(
                             if side == "L"
                             else _np_operand("{X}", left)
                         )
+                        + numpy_options
                         + (", transposed=True" if transposed_system else "")
                         + (", side='R'" if side == "R" else "")
                         + ")"
@@ -181,6 +187,7 @@ def build_trsm_kernels() -> List[Kernel]:
             julia_name="trsm",
             numpy_solver="solve_triangular",
             efficiency=EFFICIENCY["TRSM"],
+            numpy_options=f", lower={uplo == 'lower'}",
         )
     return kernels
 
@@ -295,8 +302,11 @@ def build_combined_inverse_kernels() -> List[Kernel]:
 def build_inversion_kernels() -> List[Kernel]:
     """Explicit inversion kernels, used mainly by the naive baselines."""
     kernels: List[Kernel] = []
+    # The last field is the stored triangle of X (``None``: not
+    # triangular); the transposed variants invert ``X.T``, whose stored
+    # triangle is the other one.
     specs = [
-        ("getri", "GETRI", (), "general", flops.getri, "invert", "inv!({X})"),
+        ("getri", "GETRI", (), "general", flops.getri, "invert", "inv!({X})", None),
         (
             "potri",
             "POTRI",
@@ -305,6 +315,7 @@ def build_inversion_kernels() -> List[Kernel]:
             flops.potri,
             "invert_spd",
             "potri!('L', {X})",
+            None,
         ),
         (
             "trtri_lower",
@@ -314,6 +325,7 @@ def build_inversion_kernels() -> List[Kernel]:
             flops.trtri,
             "invert_triangular",
             "trtri!('L', 'N', {X})",
+            True,
         ),
         (
             "trtri_upper",
@@ -323,6 +335,7 @@ def build_inversion_kernels() -> List[Kernel]:
             flops.trtri,
             "invert_triangular",
             "trtri!('U', 'N', {X})",
+            False,
         ),
         (
             "diaginv",
@@ -332,10 +345,11 @@ def build_inversion_kernels() -> List[Kernel]:
             flops.diaginv,
             "invert_diagonal",
             "{out} = inv(Diagonal({X}))",
+            None,
         ),
     ]
     for code in ("I", "IT"):
-        for base_id, display, constraints, structure, cost_fn, helper, julia in specs:
+        for base_id, display, constraints, structure, cost_fn, helper, julia, lower in specs:
             pattern_expr, _ = helpers.unary_pattern(code)
             efficiency_key = display if display in EFFICIENCY else "GETRI"
 
@@ -355,6 +369,7 @@ def build_inversion_kernels() -> List[Kernel]:
                     julia_template=julia,
                     numpy_template="{out} = " + helper + "({X}"
                     + (".T" if code == "IT" else "")
+                    + ("" if lower is None else f", lower={lower != (code == 'IT')}")
                     + ")",
                     level="lapack",
                     description=f"explicit inversion of a {structure} matrix",

@@ -1,9 +1,12 @@
 """NumPy/SciPy helper routines for the solve and inversion kernels.
 
 This module is the numerical runtime substituting for the MKL-backed BLAS
-and LAPACK libraries used in the paper's evaluation.  Products, SYRK and
-transposes render as plain ``@``/``.T`` statements; the solve and inversion
-kernels' NumPy statements call the helpers below.  The
+and LAPACK libraries used in the paper's evaluation.  Products need no
+helper: GEMM, TRMM, SYMM, SYRK and the vector kernels render as ``@``,
+DIAGMM as a row or column scaling by ``np.diagonal`` and SCAL as ``*``
+(m*n work, not a dense GEMM); transposes render as ``.T``.  The solve and
+inversion kernels' NumPy statements call the helpers below, with the
+triangle a triangular kernel reads rendered from its id (``lower=``).  The
 :class:`~repro.runtime.executor.Executor` runs those statements with these
 helpers in its namespace, and the code generators inline their source into
 emitted code (:mod:`repro.codegen.runtime_inline`) -- so the interpreter and
@@ -34,10 +37,6 @@ __all__ = [
 ]
 
 
-def _is_lower(matrix: np.ndarray) -> bool:
-    return bool(np.allclose(matrix, np.tril(matrix)))
-
-
 def _as_matrix(array: np.ndarray) -> np.ndarray:
     if array.ndim == 1:
         return array.reshape(-1, 1)
@@ -47,13 +46,17 @@ def _as_matrix(array: np.ndarray) -> np.ndarray:
 def solve_triangular(
     coefficient: np.ndarray,
     rhs: np.ndarray,
+    lower: bool,
     transposed: bool = False,
     side: str = "L",
 ) -> np.ndarray:
-    """TRSM/TRSV: solve a triangular system from the left or the right."""
+    """TRSM/TRSV: solve a triangular system from the left or the right.
+
+    *lower* names the stored triangle of *coefficient* (the kernel id's
+    uplo); the other triangle is never read.
+    """
     coefficient = _as_matrix(coefficient)
     rhs = _as_matrix(rhs)
-    lower = _is_lower(coefficient)
     if side == "L":
         return scipy_linalg.solve_triangular(
             coefficient, rhs, lower=lower, trans="T" if transposed else "N"
@@ -136,11 +139,12 @@ def invert_spd(matrix: np.ndarray) -> np.ndarray:
     return scipy_linalg.cho_solve(factor, np.eye(matrix.shape[0]))
 
 
-def invert_triangular(matrix: np.ndarray) -> np.ndarray:
-    """TRTRI: explicit inversion of a triangular matrix."""
+def invert_triangular(matrix: np.ndarray, lower: bool) -> np.ndarray:
+    """TRTRI: explicit inversion of a triangular matrix (*lower* names its
+    stored triangle)."""
     matrix = _as_matrix(matrix)
     return scipy_linalg.solve_triangular(
-        matrix, np.eye(matrix.shape[0]), lower=_is_lower(matrix)
+        matrix, np.eye(matrix.shape[0]), lower=lower
     )
 
 

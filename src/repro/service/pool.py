@@ -72,6 +72,7 @@ from ..persist.snapshot import (
     snapshot_path,
     write_snapshot,
 )
+from ..runtime.blas_threads import blas_threads, limit_blas_threads
 from .. import telemetry
 from .api import CompileRequest, CompileResponse, affinity_key, execute_request
 
@@ -256,6 +257,7 @@ class InProcessExecutor:
                     "requests": self.requests_served,
                     "caches": caches,
                     "snapshot": self.snapshot_load,
+                    "blas_threads": blas_threads(),
                 }
             ],
         }
@@ -318,7 +320,13 @@ def _worker_main(worker_id: int, inbox, outbox, snapshot_file=None) -> None:
     are ``(kind, token, payload)`` tuples; every message except
     ``shutdown``/``crash`` is answered with ``(token, payload)`` on
     *outbox*.
+
+    The worker first caps every loaded OpenBLAS at one thread: the pool
+    already runs one process per core, and NumPy's and SciPy's separate
+    OpenBLAS thread pools otherwise spin against each other on plans that
+    interleave products with solves (:mod:`repro.runtime.blas_threads`).
     """
+    limit_blas_threads()
     compiler = Compiler()
     snapshot_load = None
     if snapshot_file is not None:
@@ -384,6 +392,7 @@ def _worker_main(worker_id: int, inbox, outbox, snapshot_file=None) -> None:
                         "errors": failed,
                         "caches": compiler.cache_stats(),
                         "snapshot": snapshot_load,
+                        "blas_threads": blas_threads(),
                     },
                 )
             )

@@ -7,12 +7,15 @@ standalone module -- and compares the result against a direct reference
 evaluation of the matched expression.  This guarantees that the symbolic
 layer (patterns, constraints) and the numerical layer (the rendered
 ``numpy_template``) agree for the *whole* catalog, not just the kernels the
-other tests happen to exercise.
+other tests happen to exercise.  The statements themselves are pinned where
+their form matters: triangular kernels name the triangle of their kernel id
+(``lower=``), and DIAGMM/SCAL scale element-wise instead of calling ``@``.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -146,3 +149,54 @@ def test_every_kernel_renders_its_code_templates(kernel):
     assert isinstance(numpy_code, str) and numpy_code
     # The rendered code references at least one of the bound operand names.
     assert any(name in julia or name in numpy_code for name in call.operand_names.values())
+
+
+def _call(kernel: Kernel) -> KernelCall:
+    subject, substitution = _find_substitution(kernel)
+    output = Matrix("OUT", subject.rows, subject.columns)
+    return KernelCall(
+        kernel=kernel, substitution=substitution, output=output, expression=subject
+    )
+
+
+_TRIANGULAR_CALL = re.compile(
+    r"(?:solve|invert)_triangular\((?P<coefficient>[\w.]+), .*lower=(?P<lower>True|False)"
+)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [k for k in _CATALOG if k.display_name in ("TRSM", "TRSV", "TRTRI")],
+    ids=lambda k: k.id,
+)
+def test_triangular_statements_name_the_uplo_of_their_kernel_id(kernel):
+    """The stored triangle is rendered from the kernel id, never probed from
+    the values; a coefficient passed as ``X.T`` has the other triangle."""
+    statement = _call(kernel).numpy()
+    found = _TRIANGULAR_CALL.search(statement)
+    assert found is not None, statement
+    stored_lower = "_lower" in kernel.id
+    transposed = found.group("coefficient").endswith(".T")
+    assert found.group("lower") == str(stored_lower != transposed)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [k for k in _CATALOG if k.display_name in ("DIAGMM", "SCAL")],
+    ids=lambda k: k.id,
+)
+def test_diagonal_and_scalar_products_render_as_broadcasts(kernel):
+    statement = _call(kernel).numpy()
+    assert "@" not in statement
+    assert "*" in statement
+
+
+def test_diagonal_scaling_keeps_a_vector_a_vector():
+    """A 1-D right-hand side of a left DIAGMM scales rows; it must not
+    broadcast against the diagonal into an n x n matrix."""
+    call = _call(_CATALOG.by_id("diagmm_l_n"))
+    diagonal = np.arange(1.0, _N + 1.0)
+    vector = np.linspace(-1.0, 1.0, _N)
+    result = Executor({"X": np.diag(diagonal), "Y": vector}).execute_call(call)
+    np.testing.assert_allclose(result.ravel(), diagonal * vector)
+    assert result.size == _N

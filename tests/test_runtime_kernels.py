@@ -27,21 +27,23 @@ class TestTriangularSolves:
         lower = _lower(rng, 5)
         b = rng.standard_normal((5, 3))
         np.testing.assert_allclose(
-            backend.solve_triangular(lower, b), np.linalg.solve(lower, b)
+            backend.solve_triangular(lower, b, lower=True),
+            np.linalg.solve(lower, b),
         )
 
     def test_left_upper(self, rng):
         upper = _lower(rng, 5).T
         b = rng.standard_normal((5, 3))
         np.testing.assert_allclose(
-            backend.solve_triangular(upper, b), np.linalg.solve(upper, b)
+            backend.solve_triangular(upper, b, lower=False),
+            np.linalg.solve(upper, b),
         )
 
     def test_left_transposed(self, rng):
         lower = _lower(rng, 5)
         b = rng.standard_normal((5, 3))
         np.testing.assert_allclose(
-            backend.solve_triangular(lower, b, transposed=True),
+            backend.solve_triangular(lower, b, lower=True, transposed=True),
             np.linalg.solve(lower.T, b),
         )
 
@@ -49,14 +51,15 @@ class TestTriangularSolves:
         lower = _lower(rng, 4)
         b = rng.standard_normal((3, 4))
         np.testing.assert_allclose(
-            backend.solve_triangular(lower, b, side="R"), b @ np.linalg.inv(lower)
+            backend.solve_triangular(lower, b, lower=True, side="R"),
+            b @ np.linalg.inv(lower),
         )
 
     def test_right_transposed(self, rng):
         lower = _lower(rng, 4)
         b = rng.standard_normal((3, 4))
         np.testing.assert_allclose(
-            backend.solve_triangular(lower, b, transposed=True, side="R"),
+            backend.solve_triangular(lower, b, lower=True, transposed=True, side="R"),
             b @ np.linalg.inv(lower.T),
         )
 
@@ -137,7 +140,10 @@ class TestInversion:
     def test_invert_triangular(self, rng):
         lower = _lower(rng, 5)
         np.testing.assert_allclose(
-            backend.invert_triangular(lower), np.linalg.inv(lower), rtol=1e-9, atol=1e-12
+            backend.invert_triangular(lower, lower=True),
+            np.linalg.inv(lower),
+            rtol=1e-9,
+            atol=1e-12,
         )
 
     def test_invert_diagonal(self, rng):
