@@ -34,13 +34,11 @@ worker pool), then drives the acceptance workload against it:
    ``le="+Inf"``), and every response must echo the client's
    ``X-Request-Id`` header (which also lands as the response body's
    ``request_id`` after riding through a pool worker);
-8. **workload analytics**: after the skewed traffic above, ``GET
-   /analytics`` must rank the template structure's signature first (the
-   key equal to an in-process :func:`repro.service.api.affinity_key`
-   computation, proving cross-process key stability), ``GET /metrics``
+8. **workload analytics**: after the traffic above, ``GET /metrics``
    must carry a positive ``repro_compile_phase_latency_seconds`` p99
-   quantile series, and its ``repro_request_latency_seconds_count`` must
-   have recorded the ``/compile`` requests;
+   quantile series (merged from the workers' sketches), and its
+   ``repro_request_latency_seconds_count`` must have recorded the
+   ``/compile`` requests;
 9. **BLAS threads**: every worker in ``GET /stats`` must report at least
    one loaded OpenBLAS, each set to one thread (the pool's parallelism is
    its worker processes).
@@ -319,49 +317,19 @@ def observability_check(base: str) -> int:
 
 
 def analytics_check(base: str) -> int:
-    """Phase: skewed traffic must surface in the workload analytics.
+    """Phase: served traffic must surface in the latency quantiles.
 
-    By this point the driver has sent many signature-equal ``TEMPLATE``
-    requests and exactly a handful of other structures, so ``GET
-    /analytics`` must rank the template signature first (with the key
-    matching an in-process :func:`repro.service.api.affinity_key`
-    computation -- proving the heavy-hitter keys are stable across the
-    client/worker process boundary), and ``GET /metrics`` must carry
-    nonzero latency quantile series and count the ``/compile`` requests.
+    ``GET /metrics`` must carry a positive compile-phase p99 quantile
+    series, merged from the pool workers' sketches, and count the
+    ``/compile`` requests in the HTTP tier's latency histogram.
     """
-    from repro.service.api import CompileRequest, affinity_key
-
-    # A little extra skew, so the phase also passes standalone.
+    # A few requests of its own, so the phase also passes standalone.
     for index in range(3):
         status, body = http_json(
             "POST", f"{base}/compile", {"source": tagged_source(f"an{index}")}
         )
         if status != 200 or not body.get("ok"):
             return fail(f"analytics warmup /compile returned {status}")
-
-    status, report = http_json("GET", f"{base}/analytics")
-    if status != 200:
-        return fail(f"GET /analytics returned {status}")
-    top = (report.get("signatures") or {}).get("top") or []
-    if not top:
-        return fail("/analytics reports no tracked signatures")
-    expected_key = affinity_key(CompileRequest(source=tagged_source("probe")))
-    if top[0]["signature"] != expected_key:
-        return fail(
-            f"/analytics top-1 signature is not the template structure: "
-            f"{top[0]['signature'][:80]!r}..."
-        )
-    if top[0]["count"] < 3 or top[0]["count"] > report.get("requests", 0):
-        return fail(f"implausible top-1 count {top[0]['count']}")
-    if len(top) < 2 or any(
-        top[i]["count"] < top[i + 1]["count"] for i in range(len(top) - 1)
-    ):
-        return fail(f"/analytics top-k not sorted by count: {top}")
-    if not 0.0 < top[0]["plan_hit_rate"] <= 1.0:
-        return fail(
-            f"template signature plan-hit rate {top[0]['plan_hit_rate']} "
-            f"not in (0, 1] despite warm traffic"
-        )
 
     status, _, text = http_raw("GET", f"{base}/metrics")
     if status != 200:
@@ -389,11 +357,8 @@ def analytics_check(base: str) -> int:
         )
 
     print(
-        f"analytics: top-1 signature matches the in-process affinity key "
-        f"(count {top[0]['count']}, plan-hit rate "
-        f"{top[0]['plan_hit_rate']:.3f}), solve p99 "
-        f"{float(match.group(1)) * 1e3:.3f} ms, {recorded:.0f} /compile "
-        f"requests counted"
+        f"analytics: solve p99 {float(match.group(1)) * 1e3:.3f} ms, "
+        f"{recorded:.0f} /compile requests counted"
     )
     return 0
 

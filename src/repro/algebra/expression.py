@@ -476,8 +476,8 @@ def signature_repr(signature: Tuple) -> str:
     so ``repr(signature)`` is only stable *within* one process.  This
     renders every frozenset as a sorted tuple of property names instead,
     making the string safe to compare, hash or merge across the service's
-    worker-process boundary (request affinity keys, workload-analytics
-    heavy-hitter keys, :func:`signature_digest`).
+    worker-process boundary (request affinity keys,
+    :func:`signature_digest`).
     """
     return repr(_canonical_signature_part(signature))
 

@@ -180,9 +180,6 @@ class ExecuteResponse:
     phase: Optional[str] = None
     worker: Optional[int] = None
     timing: Dict[str, float] = field(default_factory=dict)
-    #: Deep-profile payload of the compile phase when the request set
-    #: ``options.profile`` (see :mod:`repro.obs.profile`).
-    profile: Optional[dict] = None
 
     def explain(self) -> str:
         """Per-phase provenance report (compile/emit/import/run/validate
@@ -193,7 +190,7 @@ class ExecuteResponse:
         return explain_execution(self)
 
     def to_dict(self) -> dict:
-        payload = {
+        return {
             "request_id": self.request_id,
             "ok": self.ok,
             "engine": self.engine,
@@ -207,9 +204,6 @@ class ExecuteResponse:
             "worker": self.worker,
             "timing": dict(self.timing),
         }
-        if self.profile is not None:
-            payload["profile"] = dict(self.profile)
-        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ExecuteResponse":
@@ -226,9 +220,6 @@ class ExecuteResponse:
             phase=payload.get("phase"),
             worker=payload.get("worker"),
             timing=dict(payload.get("timing", {})),
-            profile=(
-                dict(payload["profile"]) if payload.get("profile") else None
-            ),
         )
 
 
@@ -320,20 +311,9 @@ def run_execute_request(
 
         phase = "compile"
         t0 = time.perf_counter()
-        profile: Optional[dict] = None
-        if request.compile.options.profile:
-            from ..obs.profile import profile_call, profile_payload
-
-            result, profiler = profile_call(
-                lambda: compiler.compile(
-                    request.compile.to_source(), options=request.compile.options
-                )
-            )
-            profile = profile_payload(profiler)
-        else:
-            result = compiler.compile(
-                request.compile.to_source(), options=request.compile.options
-            )
+        result = compiler.compile(
+            request.compile.to_source(), options=request.compile.options
+        )
         if result.trace is not None:
             result.trace.request_id = request.request_id
         timing["compile_s"] = time.perf_counter() - t0
@@ -425,7 +405,6 @@ def run_execute_request(
             total_flops=result.total_flops,
             worker=worker,
             timing=dict(timing, total_s=time.perf_counter() - started),
-            profile=profile,
         )
     except Exception as exc:  # noqa: BLE001 -- fold into the response
         return ExecuteResponse(

@@ -20,9 +20,11 @@ import hashlib
 import importlib.util
 import itertools
 import os
+import shutil
 import sys
 import tempfile
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
@@ -101,7 +103,10 @@ class ModuleLoader:
     import both skipped); a miss is followed by ``load(source, key)``, which
     materializes the source under the loader's temp directory and imports
     it.  Evicted entries are dropped from ``sys.modules`` and their source
-    file removed.
+    file removed.  ``close`` evicts everything and removes the temp
+    directory the loader created (never a caller-supplied ``directory``);
+    a loader that is never closed removes it at garbage collection or
+    interpreter exit.
     """
 
     def __init__(
@@ -113,6 +118,7 @@ class ModuleLoader:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
         self._directory = directory
+        self._cleanup: Optional[weakref.finalize] = None
         self._entries: "OrderedDict[str, LoadedModule]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -124,6 +130,9 @@ class ModuleLoader:
     def directory(self) -> str:
         if self._directory is None:
             self._directory = tempfile.mkdtemp(prefix="repro_exec_")
+            self._cleanup = weakref.finalize(
+                self, _remove_directory, self._directory, os.getpid()
+            )
         return self._directory
 
     # ------------------------------------------------------------------ API
@@ -201,6 +210,16 @@ class ModuleLoader:
         for entry in entries:
             self._discard(entry)
 
+    def close(self) -> None:
+        """Evict every module and remove the temp directory this loader
+        created.  The loader stays usable: a later ``load`` makes a fresh
+        directory."""
+        self.clear()
+        cleanup, self._cleanup = self._cleanup, None
+        if cleanup is not None:
+            self._directory = None
+            cleanup()
+
     # ------------------------------------------------------------ telemetry
     def stats(self) -> Dict[str, object]:
         with self._lock:
@@ -221,6 +240,13 @@ class ModuleLoader:
             self.hits = 0
             self.misses = 0
             self.evictions = 0
+
+
+def _remove_directory(path: str, owner_pid: int) -> None:
+    # A forked child inherits its parent's loader; only the process that
+    # made the directory removes it.
+    if os.getpid() == owner_pid:
+        shutil.rmtree(path, ignore_errors=True)
 
 
 _DEFAULT_LOADER: Optional[ModuleLoader] = None

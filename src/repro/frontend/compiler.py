@@ -631,7 +631,6 @@ def build_options(args: argparse.Namespace) -> CompileOptions:
         prune=not args.no_prune,
         match_cache=not args.no_match_cache,
         trace=getattr(args, "trace", None) is not None,
-        profile=getattr(args, "profile", False),
     )
 
 
@@ -710,23 +709,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "chrome://tracing); default: json"
         ),
     )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "run the compilation under cProfile and append the top "
-            "functions to the printed output (see also --profile-out)"
-        ),
-    )
-    parser.add_argument(
-        "--profile-out",
-        default=None,
-        metavar="PATH",
-        help=(
-            "with --profile, write flamegraph.pl-compatible collapsed "
-            "stacks ('frame;frame count' lines) to PATH"
-        ),
-    )
     serve_group = parser.add_argument_group(
         "service mode", "run as a long-lived HTTP compilation service"
     )
@@ -794,10 +776,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ignored.append("--trace")
         if args.execute:
             ignored.append("--execute")
-        if args.profile:
-            ignored.append("--profile")
-        if args.profile_out is not None:
-            ignored.append("--profile-out")
         if ignored:
             parser.error(
                 f"{', '.join(ignored)} cannot be combined with --serve: "
@@ -827,27 +805,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         text = sys.stdin.read()
     compiler = Compiler(build_options(args))
-    profile = None
-    if args.profile:
-        from ..obs.profile import profile_call, profile_payload
-
-        result, profiler = profile_call(lambda: compiler.compile(text))
-        profile = profile_payload(profiler)
-    else:
-        result = compiler.compile(text)
+    result = compiler.compile(text)
     if args.emit == "report":
         print(result.report())
     else:
         print(result.emit(args.emit))
-    if profile is not None:
-        print(_profile_report(profile))
-        if args.profile_out is not None:
-            with open(args.profile_out, "w", encoding="utf-8") as handle:
-                handle.write(profile.get("collapsed", ""))
-            print(
-                f"collapsed stacks written to {args.profile_out} "
-                f"(flamegraph.pl-compatible)"
-            )
     if args.trace is not None:
         result.trace.write(args.trace, fmt=args.trace_format)
         print(result.explain())
@@ -870,18 +832,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not response.ok:
             return 1
     return 0
-
-
-def _profile_report(profile: dict) -> str:
-    """The human-readable ``--profile`` section appended to CLI output."""
-    lines = ["", "profile (top functions by cumulative time):"]
-    for row in profile.get("top_functions", ())[:10]:
-        lines.append(
-            f"  {row['tottime_s'] * 1e3:9.3f} ms self"
-            f"  {row['cumtime_s'] * 1e3:9.3f} ms cum"
-            f"  {row['calls']:>7} calls  {row['function']}"
-        )
-    return "\n".join(lines)
 
 
 def _execution_report(response) -> str:

@@ -1,57 +1,38 @@
-"""Workload analytics: mergeable streaming sketches over service traffic.
+"""Workload analytics: request counters and mergeable latency sketches.
 
-Two stdlib-only sketch structures, both **mergeable** so the worker pool
-can aggregate worker-local state through the existing
-:func:`repro.telemetry.aggregate` path (the ``"analytics"`` telemetry
-layer) exactly like :mod:`repro.persist.snapshot` merges cache state:
+:class:`QuantileSketch` is a fixed-relative-accuracy log-bucket quantile
+sketch in the DDSketch family: bucket ``i`` covers
+``(gamma^(i-1), gamma^i]`` with ``gamma = (1+alpha)/(1-alpha)``, so any
+reported quantile is within relative error *alpha* of the true value and
+two sketches merge by bucket-wise addition.  It is also the one latency
+store of the HTTP tier (:class:`repro.obs.metrics.MetricsRegistry`), whose
+``/metrics`` histograms are rendered from it.
 
-* :class:`SpaceSavingSketch` -- the Space-Saving heavy-hitter algorithm
-  (Metwally, Agrawal, El Abbadi 2005) over name-abstracted request
-  signatures: a bounded set of ``(count, error)`` counters whose top-k is
-  provably a superset of every key with frequency above ``N/capacity``.
-  Entries carry auxiliary aggregates (plan-cache hits, summed latency) so
-  ``GET /analytics`` can report per-signature plan-hit rates and mean
-  latency -- the direct input for the ROADMAP's hot-signature promotion.
-* :class:`QuantileSketch` -- a fixed-relative-accuracy log-bucket quantile
-  sketch in the DDSketch family: bucket ``i`` covers
-  ``(gamma^(i-1), gamma^i]`` with ``gamma = (1+alpha)/(1-alpha)``, so any
-  reported quantile is within relative error *alpha* of the true value and
-  two sketches merge by bucket-wise addition.  It is also the one latency
-  store of the HTTP tier (:class:`repro.obs.metrics.MetricsRegistry`),
-  whose ``/metrics`` histograms are rendered from it.
+:class:`WorkloadAnalytics` bundles the request/plan-hit counters and
+per-label quantile sketches behind a lock; the process-global
+:func:`workload_analytics` instance is the worker-side view, recorded at
+``execute_request`` time and shipped inside the telemetry snapshot as the
+``analytics`` layer.  Pool workers' states merge sketch-wise through
+:func:`merge_analytics_states` (the :func:`repro.telemetry.aggregate`
+hook), exactly like :mod:`repro.persist.snapshot` merges cache state.
 
-:class:`WorkloadAnalytics` bundles heavy hitters and per-label quantile
-sketches behind a lock; the process-global :func:`workload_analytics`
-instance is the worker-side view, recorded at ``execute_request`` time and
-shipped inside the telemetry snapshot.
-
-The layer is always-on but cheap (a dict update and a ``log`` per
-request); its cost sits inside the end-to-end bounds of the ``perfbench/``
+The layer is always on and cheap (two counters and a ``log`` per phase
+sample); its cost sits inside the end-to-end bounds of the ``perfbench/``
 benchmark, whose ``obs.record_ms`` layer metric times the recording.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import threading
-from contextlib import contextmanager
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
-    "SpaceSavingSketch",
     "QuantileSketch",
     "WorkloadAnalytics",
     "workload_analytics",
-    "analytics_enabled",
-    "set_analytics_enabled",
-    "analytics_disabled",
     "merge_analytics_states",
-    "analytics_report",
 ]
-
-#: Default bound on tracked heavy-hitter entries (error <= N/capacity).
-DEFAULT_TOP_CAPACITY = 64
 
 #: Default relative accuracy of the quantile sketches (1%).
 DEFAULT_ALPHA = 0.01
@@ -59,142 +40,6 @@ DEFAULT_ALPHA = 0.01
 #: Values at or below this collapse into the quantile sketch's zero bucket
 #: (sub-nanosecond latencies carry no information at alpha ~ 1%).
 _ZERO_THRESHOLD = 1e-9
-
-
-def signature_digest(signature: str) -> str:
-    """A short process-stable digest naming one signature string."""
-    return hashlib.sha1(signature.encode("utf-8")).hexdigest()[:12]
-
-
-# ---------------------------------------------------------------------------
-# Space-Saving heavy hitters.
-# ---------------------------------------------------------------------------
-
-class SpaceSavingSketch:
-    """Bounded heavy-hitter counters with per-entry auxiliary aggregates.
-
-    ``observe`` either increments a tracked entry, claims a free slot, or
-    -- at capacity -- evicts the minimum-count entry and inherits its count
-    as the new entry's ``error`` bound (the classic Space-Saving update:
-    every tracked count overestimates the true frequency by at most its
-    ``error``, and every key with true frequency above ``total/capacity``
-    is guaranteed to be tracked).
-
-    Auxiliary aggregates (``plan_hits``, ``latency_sum``) are exact for the
-    tracked span of an entry's life; an entry that took over an evicted
-    slot starts its aggregates fresh, so rates/means are reported over the
-    tracked observations only.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_TOP_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity!r}")
-        self.capacity = capacity
-        self.total = 0
-        self._entries: Dict[str, Dict[str, float]] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def observe(
-        self, key: str, *, plan_hit: bool = False, latency_s: float = 0.0
-    ) -> None:
-        self.total += 1
-        entry = self._entries.get(key)
-        if entry is None:
-            if len(self._entries) < self.capacity:
-                entry = {"count": 0, "error": 0, "plan_hits": 0, "latency_sum": 0.0}
-            else:
-                victim = min(self._entries, key=lambda k: self._entries[k]["count"])
-                floor = self._entries.pop(victim)["count"]
-                entry = {
-                    "count": floor,
-                    "error": floor,
-                    "plan_hits": 0,
-                    "latency_sum": 0.0,
-                }
-            self._entries[key] = entry
-        entry["count"] += 1
-        if plan_hit:
-            entry["plan_hits"] += 1
-        entry["latency_sum"] += float(latency_s)
-
-    def top(self, k: int = 10) -> List[Dict[str, Any]]:
-        """The *k* largest tracked entries, largest count first."""
-        ranked = sorted(
-            self._entries.items(), key=lambda item: (-item[1]["count"], item[0])
-        )
-        out: List[Dict[str, Any]] = []
-        for key, entry in ranked[: max(0, k)]:
-            tracked = entry["count"] - entry["error"]
-            out.append(
-                {
-                    "signature": key,
-                    "digest": signature_digest(key),
-                    "count": int(entry["count"]),
-                    "error": int(entry["error"]),
-                    "plan_hits": int(entry["plan_hits"]),
-                    "plan_hit_rate": (
-                        entry["plan_hits"] / tracked if tracked > 0 else 0.0
-                    ),
-                    "mean_latency_s": (
-                        entry["latency_sum"] / tracked if tracked > 0 else 0.0
-                    ),
-                }
-            )
-        return out
-
-    # ----------------------------------------------------------------- state
-    def to_state(self) -> Dict[str, Any]:
-        return {
-            "capacity": self.capacity,
-            "total": self.total,
-            "entries": {key: dict(entry) for key, entry in self._entries.items()},
-        }
-
-    @classmethod
-    def from_state(cls, state: Mapping) -> "SpaceSavingSketch":
-        sketch = cls(capacity=int(state.get("capacity", DEFAULT_TOP_CAPACITY)))
-        sketch.total = int(state.get("total", 0))
-        for key, entry in (state.get("entries") or {}).items():
-            sketch._entries[str(key)] = {
-                "count": int(entry.get("count", 0)),
-                "error": int(entry.get("error", 0)),
-                "plan_hits": int(entry.get("plan_hits", 0)),
-                "latency_sum": float(entry.get("latency_sum", 0.0)),
-            }
-        return sketch
-
-    def merge(self, state: Mapping) -> None:
-        """Fold another sketch's state into this one.
-
-        Counts, error bounds and auxiliary aggregates add per key; when the
-        union exceeds capacity the smallest-count entries are dropped
-        (their mass stays in ``total``).  For disjoint key sets that fit in
-        capacity -- the cross-worker case the pool produces, since affinity
-        routing sends each signature to one worker -- the merge is exact.
-        """
-        self.total += int(state.get("total", 0))
-        for key, entry in (state.get("entries") or {}).items():
-            key = str(key)
-            mine = self._entries.get(key)
-            if mine is None:
-                self._entries[key] = {
-                    "count": int(entry.get("count", 0)),
-                    "error": int(entry.get("error", 0)),
-                    "plan_hits": int(entry.get("plan_hits", 0)),
-                    "latency_sum": float(entry.get("latency_sum", 0.0)),
-                }
-            else:
-                mine["count"] += int(entry.get("count", 0))
-                mine["error"] += int(entry.get("error", 0))
-                mine["plan_hits"] += int(entry.get("plan_hits", 0))
-                mine["latency_sum"] += float(entry.get("latency_sum", 0.0))
-        if len(self._entries) > self.capacity:
-            ranked = sorted(
-                self._entries.items(), key=lambda item: (-item[1]["count"], item[0])
-            )
-            self._entries = dict(ranked[: self.capacity])
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +127,6 @@ class QuantileSketch:
             counts.append(running)
         return counts
 
-    def summary(self) -> Dict[str, float]:
-        """Count plus the dashboard quantiles, for ``GET /analytics``."""
-        if self.count == 0:
-            return {"count": 0}
-        return {
-            "count": self.count,
-            "mean_s": self.sum / self.count,
-            "p50_s": self.quantile(0.5),
-            "p95_s": self.quantile(0.95),
-            "p99_s": self.quantile(0.99),
-            "max_s": self.max,
-        }
-
     # ----------------------------------------------------------------- state
     def to_state(self) -> Dict[str, Any]:
         return {
@@ -347,30 +179,31 @@ class QuantileSketch:
 # ---------------------------------------------------------------------------
 
 class WorkloadAnalytics:
-    """One process's workload-analytics state: heavy hitters and latency
-    quantile sketches keyed by ``(metric name, label key, label value)``.
-    Thread-safe; serializes to one plain ``state()`` dict whose numeric
-    top-level keys double as ``/metrics`` gauges for the ``analytics``
-    telemetry layer."""
+    """One process's workload-analytics state: request and plan-hit
+    counters plus latency quantile sketches keyed by ``(metric name, label
+    key, label value)``.  Thread-safe; serializes to one plain ``state()``
+    dict whose numeric top-level keys double as ``/metrics`` gauges for the
+    ``analytics`` telemetry layer."""
 
-    def __init__(
-        self, top_capacity: int = DEFAULT_TOP_CAPACITY, alpha: float = DEFAULT_ALPHA
-    ) -> None:
+    def __init__(self, alpha: float = DEFAULT_ALPHA) -> None:
         self.alpha = alpha
         self._lock = threading.Lock()
-        self.signatures = SpaceSavingSketch(top_capacity)
         self._latency: Dict[Tuple[str, str, str], QuantileSketch] = {}
         self.requests = 0
         self.plan_hits = 0
 
     # -------------------------------------------------------------- recording
     def record_request(
-        self, signature: str, *, plan_hit: bool, latency_s: float
+        self, signature: object = None, *, plan_hit: bool, latency_s: float = 0.0
     ) -> None:
-        """One served compile request: heavy-hitter entry plus counters."""
+        """Count one served compile request (and whether the plan cache
+        answered every segment).
+
+        *signature* and *latency_s* are ignored: ``perfbench/replay.py``
+        still passes them, and goes away with ROADMAP item 8.
+        """
         with self._lock:
             self.requests += 1
-            self.signatures.observe(signature, plan_hit=plan_hit, latency_s=latency_s)
             if plan_hit:
                 self.plan_hits += 1
 
@@ -411,8 +244,6 @@ class WorkloadAnalytics:
                 "layer": "analytics",
                 "requests": self.requests,
                 "plan_hits": self.plan_hits,
-                "tracked_signatures": len(self.signatures),
-                "signatures": self.signatures.to_state(),
                 "latency": [
                     {
                         "name": name,
@@ -431,8 +262,6 @@ class WorkloadAnalytics:
         with self._lock:
             self.requests += int(state.get("requests", 0))
             self.plan_hits += int(state.get("plan_hits", 0))
-            if state.get("signatures"):
-                self.signatures.merge(state["signatures"])
             for entry in state.get("latency") or ():
                 key = (entry["name"], entry["label"], str(entry["value"]))
                 sketch = self._latency.get(key)
@@ -445,21 +274,15 @@ class WorkloadAnalytics:
     def reset(self) -> None:
         """Drop every sketch (the analytics half of ``telemetry.reset``)."""
         with self._lock:
-            self.signatures = SpaceSavingSketch(self.signatures.capacity)
             self._latency = {}
             self.requests = 0
             self.plan_hits = 0
 
 
-# ---------------------------------------------------------------------------
-# Process globals and the enable gate.
-# ---------------------------------------------------------------------------
-
-#: Worker-side analytics: signatures + compile-phase latencies, recorded by
-#: ``execute_request`` and shipped inside ``telemetry.snapshot()``.
+#: Worker-side analytics: request counters + compile-phase latencies,
+#: recorded by ``execute_request`` and shipped inside
+#: ``telemetry.snapshot()``.
 _WORKLOAD = WorkloadAnalytics()
-
-_ENABLED = True
 
 
 def workload_analytics() -> WorkloadAnalytics:
@@ -468,31 +291,10 @@ def workload_analytics() -> WorkloadAnalytics:
 
 
 def analytics_enabled() -> bool:
-    """Whether recording is on (it is by default)."""
-    return _ENABLED
+    """Always ``True``: recording has no off switch.  Kept only because
+    ``perfbench/replay.py`` reads it; goes away with ROADMAP item 8."""
+    return True
 
-
-def set_analytics_enabled(enabled: bool) -> bool:
-    """Toggle recording process-wide; returns the previous setting."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def analytics_disabled():
-    """``with analytics_disabled():`` -- recording off for the block."""
-    previous = set_analytics_enabled(False)
-    try:
-        yield
-    finally:
-        set_analytics_enabled(previous)
-
-
-# ---------------------------------------------------------------------------
-# Merging and reporting.
-# ---------------------------------------------------------------------------
 
 def merge_analytics_states(states: Iterable[Mapping]) -> Dict[str, Any]:
     """Pool several ``WorkloadAnalytics.state()`` dicts into one.
@@ -503,52 +305,7 @@ def merge_analytics_states(states: Iterable[Mapping]) -> Dict[str, Any]:
     the layer.
     """
     merged = WorkloadAnalytics()
-    seeded = False
     for state in states:
-        if not isinstance(state, Mapping):
-            continue
-        if not seeded and state.get("signatures"):
-            # Adopt the first real state's capacity so it survives the
-            # round trip.
-            merged.signatures = SpaceSavingSketch(
-                int(state["signatures"].get("capacity", DEFAULT_TOP_CAPACITY))
-            )
-            seeded = True
-        merged.merge_state(state)
+        if isinstance(state, Mapping):
+            merged.merge_state(state)
     return merged.state()
-
-
-def analytics_report(
-    state: Optional[Mapping],
-    service_state: Optional[Mapping] = None,
-    top: int = 10,
-) -> Dict[str, Any]:
-    """The ``GET /analytics`` body: top-k signatures + latency summaries.
-
-    *state* is the pooled worker-side layer (from ``executor.stats()``),
-    *service_state* the HTTP tier's latency sketches in the same shape
-    (:meth:`repro.obs.metrics.MetricsRegistry.latency_entries`); the two hold
-    disjoint metric names, so merging them is lossless.
-    """
-    merged = merge_analytics_states(
-        [s for s in (state, service_state) if isinstance(s, Mapping)]
-    )
-    sketch = SpaceSavingSketch.from_state(merged.get("signatures") or {})
-    requests = int(merged.get("requests", 0))
-    plan_hits = int(merged.get("plan_hits", 0))
-    latency: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for entry in merged.get("latency") or ():
-        summary = QuantileSketch.from_state(entry["sketch"]).summary()
-        latency.setdefault(entry["name"], {})[str(entry["value"])] = summary
-    return {
-        "requests": requests,
-        "plan_hits": plan_hits,
-        "plan_hit_rate": plan_hits / requests if requests else 0.0,
-        "signatures": {
-            "capacity": sketch.capacity,
-            "tracked": len(sketch),
-            "total": sketch.total,
-            "top": sketch.top(top),
-        },
-        "latency": latency,
-    }

@@ -103,8 +103,8 @@ _DESCRIPTIONS = {
     "cold_dp": "cold dynamic-program solve",
 }
 
-#: Explicit per-segment plan-cache outcome (satellite of the analytics
-#: layer: hit/miss provenance at a glance, before the detail lines).
+#: Explicit per-segment plan-cache outcome: hit/miss provenance at a
+#: glance, before the detail lines.
 _PLAN_CACHE_LINES = {
     "plan_cache": "hit",
     "trivial": "bypassed (alias segment, nothing to cache)",

@@ -190,8 +190,8 @@ class MetricsRegistry:
         """The *name* sketches merged down to their *label* label, as
         ``latency`` entries of the
         :meth:`~repro.obs.analytics.WorkloadAnalytics.state` shape under the
-        metric name *as_name* -- what :func:`render_quantile_lines` and
-        ``GET /analytics`` consume."""
+        metric name *as_name* -- what :func:`render_quantile_lines`
+        consumes."""
         merged: Dict[str, QuantileSketch] = {}
         for metric, label_key, sketch in self._snapshot():
             if metric != name:

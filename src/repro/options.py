@@ -52,7 +52,6 @@ _WIRE_KEYS = (
     "deadline_s",
     "cost_cache_size",
     "trace",
-    "profile",
 )
 
 
@@ -97,13 +96,6 @@ class CompileOptions:
     #: fingerprint.  Off by default; the disabled hot path pays no per-cell
     #: cost.
     trace: bool = False
-    #: Run the solve under ``cProfile`` (:mod:`repro.obs.profile`) and
-    #: attach the top functions plus ``flamegraph.pl``-compatible
-    #: collapsed stacks to the response (``CompileResponse.profile``;
-    #: ``POST /profile`` returns the collapsed text directly).  Diagnostic
-    #: only -- like ``trace`` it never changes the solution and is
-    #: excluded from the plan-cache fingerprint.
-    profile: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "emit", tuple(self.emit))
@@ -191,8 +183,6 @@ class CompileOptions:
             payload["cost_cache_size"] = self.cost_cache_size
         if self.trace:
             payload["trace"] = True
-        if self.profile:
-            payload["profile"] = True
         return payload
 
     @classmethod
@@ -222,5 +212,4 @@ class CompileOptions:
             deadline_s=None if deadline is None else float(deadline),
             cost_cache_size=None if cache_size is None else int(cache_size),
             trace=wire_bool("trace", default=False),
-            profile=wire_bool("profile", default=False),
         )

@@ -38,7 +38,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from ..algebra.dsl import parse_program
 from ..algebra.expression import signature_repr
 from ..frontend.compiler import Compiler
-from ..obs.analytics import analytics_enabled, workload_analytics
+from ..obs.analytics import workload_analytics
 from ..options import CompileOptions
 
 __all__ = [
@@ -226,9 +226,6 @@ class CompileResponse:
     error: Optional[str] = None
     worker: Optional[int] = None
     timing: Dict[str, float] = field(default_factory=dict)
-    #: Deep-profile payload when the request set ``options.profile``:
-    #: ``{"top_functions": [...], "collapsed": "<flamegraph.pl text>"}``.
-    profile: Optional[dict] = None
 
     def assignment(self, target: str) -> AssignmentResult:
         for result in self.assignments:
@@ -242,7 +239,7 @@ class CompileResponse:
         return {result.target: list(result.kernels) for result in self.assignments}
 
     def to_dict(self) -> dict:
-        payload = {
+        return {
             "request_id": self.request_id,
             "ok": self.ok,
             "assignments": [result.to_dict() for result in self.assignments],
@@ -251,9 +248,6 @@ class CompileResponse:
             "worker": self.worker,
             "timing": dict(self.timing),
         }
-        if self.profile is not None:
-            payload["profile"] = dict(self.profile)
-        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "CompileResponse":
@@ -268,9 +262,6 @@ class CompileResponse:
             error=payload.get("error"),
             worker=payload.get("worker"),
             timing=dict(payload.get("timing", {})),
-            profile=(
-                dict(payload["profile"]) if payload.get("profile") else None
-            ),
         )
 
 
@@ -302,16 +293,7 @@ def execute_request(
         parse_s = time.perf_counter() - parse_started
 
         solve_started = time.perf_counter()
-        profile: Optional[dict] = None
-        if request.options.profile:
-            from ..obs.profile import profile_call, profile_payload
-
-            compiled, profiler = profile_call(
-                lambda: compiler.compile(program, options=request.options)
-            )
-            profile = profile_payload(profiler)
-        else:
-            compiled = compiler.compile(program, options=request.options)
+        compiled = compiler.compile(program, options=request.options)
         if getattr(compiled, "trace", None) is not None:
             # Tag the span tree with the service request id so exported
             # traces join with the structured log lines for this request.
@@ -339,27 +321,20 @@ def execute_request(
             )
         solve_s = time.perf_counter() - solve_started
         total_s = time.perf_counter() - started
-        if analytics_enabled():
-            # The heavy-hitter key is the request's name-abstracted
-            # signature tuple -- the same value affinity_key() computes,
-            # but read off the already-parsed program (no re-parse on the
-            # hot path).  A request counts as a plan hit when no segment
-            # needed a cold DP solve.
-            signature = _request_signature(source, program)
-            plan_hit = bool(compiled.assignments) and all(
-                getattr(entry.solution, "from_plan_cache", False)
-                or not entry.program.calls
-                for entry in compiled
-            )
-            analytics = workload_analytics()
-            analytics.record_request(
-                signature, plan_hit=plan_hit, latency_s=total_s
-            )
-            analytics.observe_latencies(
-                "compile_phase_latency_seconds",
-                "phase",
-                (("parse", parse_s), ("solve", solve_s)),
-            )
+        # A request counts as a plan hit when no segment needed a cold DP
+        # solve.
+        plan_hit = bool(compiled.assignments) and all(
+            getattr(entry.solution, "from_plan_cache", False)
+            or not entry.program.calls
+            for entry in compiled
+        )
+        analytics = workload_analytics()
+        analytics.record_request(plan_hit=plan_hit)
+        analytics.observe_latencies(
+            "compile_phase_latency_seconds",
+            "phase",
+            (("parse", parse_s), ("solve", solve_s)),
+        )
         return CompileResponse(
             request_id=request.request_id,
             ok=True,
@@ -371,7 +346,6 @@ def execute_request(
                 "solve_s": solve_s,
                 "total_s": total_s,
             },
-            profile=profile,
         )
     except Exception as exc:  # noqa: BLE001 -- fold into the response
         return CompileResponse(
@@ -381,30 +355,6 @@ def execute_request(
             worker=worker,
             timing={"total_s": time.perf_counter() - started},
         )
-
-
-#: Source-text -> signature-string memo for the analytics hot path.  A
-#: signature walk over a fresh parse tree costs ~10us; warm serve traffic
-#: repeats identical request texts, so keying by the exact source makes
-#: the per-request analytics cost a dict probe.  (Structurally similar
-#: requests under fresh names miss here and pay the walk -- but those
-#: requests also pay a full parse, so the relative cost stays negligible.)
-#: Wholesale clear at capacity: the memo is tiny and refills in one warm
-#: round trip, which beats per-entry LRU bookkeeping on every hit.
-_SIGNATURE_MEMO: Dict[str, str] = {}
-_SIGNATURE_MEMO_MAX = 4096
-
-
-def _request_signature(source: str, program) -> str:
-    signature = _SIGNATURE_MEMO.get(source)
-    if signature is None:
-        signature = signature_repr(
-            tuple(expr.signature() for _, expr in program.assignments)
-        )
-        if len(_SIGNATURE_MEMO) >= _SIGNATURE_MEMO_MAX:
-            _SIGNATURE_MEMO.clear()
-        _SIGNATURE_MEMO[source] = signature
-    return signature
 
 
 def affinity_key(request: CompileRequest) -> str:

@@ -30,12 +30,6 @@ Endpoints (all JSON):
     ``repro_execute_phase_seconds`` sketch on ``/metrics``; validation
     failures increment ``repro_execute_validation_failures`` and emit one
     structured warning line.
-``POST /profile``
-    body: a ``/compile`` request dict; profiling is forced on
-    (``options.profile = true``) and the response is ``text/plain``
-    collapsed stacks (``frame;frame;frame count_µs`` lines) ready to pipe
-    straight into ``flamegraph.pl``.  400 with the JSON ``ok=False``
-    response when the compilation fails.
 ``POST /snapshot``
     persist the executor's cache state (plan cache + match cache) to the
     configured ``--snapshot-dir`` (:mod:`repro.persist.snapshot`); 200 with
@@ -53,11 +47,6 @@ Endpoints (all JSON):
     once, into a mergeable quantile sketch; the histograms are rendered
     from it, and so are the quantile series
     (``repro_*_latency_seconds{quantile="0.5|0.95|0.99"}``).
-``GET /analytics``
-    workload analytics (:mod:`repro.obs.analytics`): top-k heavy-hitter
-    request signatures (Space-Saving sketch, merged across pool workers)
-    with per-signature request counts, plan-hit rates and mean latencies,
-    plus per-phase/per-endpoint latency quantile summaries.
 ``GET /healthz``
     liveness: pings every worker (restarting dead ones), 200 when all are
     alive, 503 when degraded.
@@ -88,7 +77,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 from urllib.parse import urlparse
 
-from ..obs.analytics import analytics_report
 from ..obs.logging import get_logger, log_rate_limited
 from ..obs.metrics import render_prometheus, render_quantile_lines, service_metrics
 from .api import CompileRequest, RequestError
@@ -111,13 +99,11 @@ _KNOWN_ENDPOINTS = frozenset(
         "/batch",
         "/snapshot",
         "/execute",
-        "/analytics",
-        "/profile",
     }
 )
 
-#: The HTTP tier's latency sketches as quantile series: (registry metric,
-#: the one label kept, the series name on ``/metrics`` and ``/analytics``).
+#: The HTTP tier's latency sketches as quantile series on ``/metrics``:
+#: (registry metric, the one label kept, the series name).
 _QUANTILE_SERIES = (
     ("repro_request_latency_seconds", "endpoint", "endpoint_latency_seconds"),
     ("repro_execute_phase_seconds", "phase", "execute_phase_latency_seconds"),
@@ -262,15 +248,6 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                 self._send_json(200, executor.stats())
             elif path == "/metrics":
                 self._send_text(200, self._render_metrics(executor))
-            elif path == "/analytics":
-                pooled = executor.stats().get("caches") or {}
-                self._send_json(
-                    200,
-                    analytics_report(
-                        pooled.get("analytics") or {},
-                        _http_latency_state(),
-                    ),
-                )
             else:
                 self._send_json(404, {"error": f"unknown path {path!r}"})
         except Exception as exc:  # noqa: BLE001 -- never drop the connection
@@ -384,21 +361,6 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                 self._send_json(
                     200 if exec_response.ok else 400, exec_response.to_dict()
                 )
-            elif path == "/profile":
-                # A /compile request with profiling forced on; returns the
-                # collapsed stacks as text/plain, ready to pipe straight
-                # into flamegraph.pl.
-                if isinstance(payload, dict) and not payload.get("request_id"):
-                    payload = dict(payload, request_id=self._request_id)
-                request = CompileRequest.from_dict(payload)
-                request.options = request.options.replace(profile=True)
-                response = executor.submit(request)
-                self._request_id = response.request_id or self._request_id
-                if not response.ok:
-                    self._send_json(400, response.to_dict())
-                else:
-                    collapsed = (response.profile or {}).get("collapsed", "")
-                    self._send_text(200, collapsed)
             elif path == "/batch":
                 if not isinstance(payload, dict) or not isinstance(
                     payload.get("requests"), list

@@ -61,6 +61,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from ..exec.loader import default_loader
 from ..frontend.compiler import Compiler
 from ..obs.logging import get_logger
 from ..kernels.catalog import KernelCatalog
@@ -262,11 +263,6 @@ class InProcessExecutor:
             ],
         }
 
-    def analytics(self) -> dict:
-        """The workload-analytics sketch state (:mod:`repro.obs.analytics`)
-        of this process's compiler session."""
-        return (self.stats().get("caches") or {}).get("analytics") or {}
-
     def reset_stats(self) -> None:
         with self._lock:
             self.compiler.reset_cache_stats()
@@ -339,6 +335,9 @@ def _worker_main(worker_id: int, inbox, outbox, snapshot_file=None) -> None:
     while True:
         kind, token, payload = inbox.get()
         if kind == "shutdown":
+            # The worker leaves through os._exit, so neither atexit nor
+            # weakref finalizers would remove the loader's temp directory.
+            default_loader().close()
             break
         if kind == "crash":  # test hook: simulate a hard worker death
             os._exit(17)
@@ -809,11 +808,6 @@ class WorkerPool:
             },
             "per_worker": per_worker,
         }
-
-    def analytics(self, timeout: float = 30.0) -> dict:
-        """Fleet-wide workload-analytics state: every worker's sketches,
-        merged (heavy-hitter counters unite, quantile buckets add)."""
-        return (self.stats(timeout).get("caches") or {}).get("analytics") or {}
 
     def save_snapshot(self, timeout: float = 60.0) -> dict:
         """Merge every worker's cache state and persist it atomically.

@@ -32,13 +32,12 @@ each of which exposes the uniform ``stats()`` / ``reset_stats()`` protocol
   occupancy/hits of the execution tier plus the runs, run errors and
   numerical-validation failures recorded by ``POST /execute``;
 * the **workload analytics** layer
-  (:class:`repro.obs.analytics.WorkloadAnalytics`) -- mergeable streaming
-  sketches over served traffic: Space-Saving heavy hitters over request
-  signatures and latency quantile sketches.
-  Unlike the counter layers this one aggregates by *sketch merging*
-  (:func:`repro.obs.analytics.merge_analytics_states`), not by summing,
-  so pool workers ship their sketch state through the same ``stats``
-  message and ``GET /analytics`` sees fleet-wide top-k and quantiles.
+  (:class:`repro.obs.analytics.WorkloadAnalytics`) -- served-request and
+  plan-hit counters plus mergeable compile-phase latency quantile
+  sketches.  Unlike the counter layers this one aggregates by *sketch
+  merging* (:func:`repro.obs.analytics.merge_analytics_states`), not by
+  summing, so pool workers ship their sketch state through the same
+  ``stats`` message and ``/metrics`` renders fleet-wide quantiles.
 
 This module never mutates pipeline state beyond ``reset_stats``; it only
 *reads* the counters the layers maintain themselves, so the service layer
@@ -202,8 +201,8 @@ def aggregate(snapshots: Iterable[Mapping[str, Mapping]]) -> Dict[str, dict]:
     """Pool per-worker snapshots into fleet-wide counters per layer.
 
     Counter layers sum; the ``analytics`` layer merges sketch-wise
-    (heavy-hitter counters unite, quantile buckets add) -- summing a
-    sketch state key-by-key would be meaningless.
+    (quantile buckets add) -- summing a sketch state key-by-key would be
+    meaningless.
     """
     from .obs.analytics import merge_analytics_states
 

@@ -1,18 +1,16 @@
 """Tests for the workload-analytics layer (repro.obs.analytics).
 
-Covers the PR 10 acceptance criteria:
+Covers:
 
-* the two sketch structures (Space-Saving heavy hitters, DDSketch-style
-  log-bucket quantiles) are correct and **mergeable**: N workers seeing
-  disjoint traffic pool to the same top-k and quantiles a single stream
-  would produce;
-* ``execute_request`` records name-abstracted request signatures with
-  plan-hit provenance, and the state travels across the worker-pool
-  process boundary through the existing telemetry ``stats`` path;
-* the HTTP front-end serves ``GET /analytics``, quantile gauge series on
-  ``GET /metrics`` and collapsed flamegraph stacks on ``POST /profile``;
-* profiling hooks (``options.profile`` / ``repro.obs.profile``) return
-  top-function tables and ``flamegraph.pl``-compatible collapsed stacks;
+* the DDSketch-style log-bucket quantile sketch is correct and
+  **mergeable**: N workers seeing disjoint traffic pool to the same
+  counters and quantiles a single stream would produce;
+* ``execute_request`` records every request with plan-hit provenance and
+  its compile-phase latencies, and the state travels across the
+  worker-pool process boundary through the existing telemetry ``stats``
+  path;
+* the HTTP front-end serves the quantile gauge series on
+  ``GET /metrics``;
 * repeated structured warnings are rate-limited by the token-bucket
   suppressor without losing the suppressed count.
 """
@@ -22,7 +20,6 @@ from __future__ import annotations
 import io
 import json
 import logging
-import random
 import re
 import urllib.request
 
@@ -31,11 +28,7 @@ import pytest
 from repro.obs import reset_service_metrics
 from repro.obs.analytics import (
     QuantileSketch,
-    SpaceSavingSketch,
     WorkloadAnalytics,
-    analytics_disabled,
-    analytics_enabled,
-    analytics_report,
     merge_analytics_states,
     workload_analytics,
 )
@@ -46,16 +39,21 @@ from repro.obs.logging import (
     log_rate_limited,
 )
 from repro.obs.metrics import render_quantile_lines
-from repro.obs.profile import (
-    collapsed_stacks,
-    profile_call,
-    profile_payload,
-    top_functions,
-)
 from repro.obs.trace import Tracer
 from repro.service import CompileRequest, InProcessExecutor, WorkerPool
-from repro.service.api import affinity_key, execute_request
+from repro.service.api import execute_request
 from repro.service.http import start_server
+
+
+def latency_sketches(state) -> dict:
+    """``{metric name: {label value: QuantileSketch}}`` of an analytics
+    state's latency entries."""
+    out: dict = {}
+    for entry in state.get("latency") or ():
+        out.setdefault(entry["name"], {})[entry["value"]] = QuantileSketch.from_state(
+            entry["sketch"]
+        )
+    return out
 
 
 def source_for(tag: str, size: int = 60) -> str:
@@ -66,79 +64,6 @@ def source_for(tag: str, size: int = 60) -> str:
         f"Matrix {tag}B ({size}, {size - 10}) <>\n"
         f"X := {tag}A^-1 * {tag}B\n"
     )
-
-
-# ---------------------------------------------------------------------------
-# Space-Saving heavy hitters
-# ---------------------------------------------------------------------------
-
-class TestSpaceSavingSketch:
-    def test_exact_under_capacity(self):
-        sketch = SpaceSavingSketch(capacity=8)
-        for key, repeats in [("a", 5), ("b", 3), ("c", 1)]:
-            for _ in range(repeats):
-                sketch.observe(key, plan_hit=(key == "a"), latency_s=0.01)
-        top = sketch.top(3)
-        assert [(e["signature"], e["count"]) for e in top] == [
-            ("a", 5), ("b", 3), ("c", 1)
-        ]
-        assert all(e["error"] == 0 for e in top)
-        assert top[0]["plan_hit_rate"] == pytest.approx(1.0)
-        assert top[0]["mean_latency_s"] == pytest.approx(0.01)
-        assert top[1]["plan_hit_rate"] == 0.0
-
-    def test_eviction_inherits_min_count_as_error(self):
-        sketch = SpaceSavingSketch(capacity=2)
-        for _ in range(10):
-            sketch.observe("hot")
-        sketch.observe("warm")
-        sketch.observe("new")  # evicts "warm" (count 1)
-        entries = {e["signature"]: e for e in sketch.top(2)}
-        assert "warm" not in entries
-        assert entries["new"]["count"] == 2  # floor 1 + its own observation
-        assert entries["new"]["error"] == 1
-        assert sketch.total == 12  # evicted mass stays in the stream total
-
-    def test_heavy_hitter_guarantee_under_eviction_pressure(self):
-        # Any key with true frequency > total/capacity must stay tracked.
-        rng = random.Random(7)
-        sketch = SpaceSavingSketch(capacity=10)
-        stream = ["hh"] * 400 + [f"noise{i}" for i in range(300)]
-        rng.shuffle(stream)
-        for key in stream:
-            sketch.observe(key)
-        top = sketch.top(1)
-        assert top[0]["signature"] == "hh"
-        # count overestimates by at most error, never underestimates.
-        assert top[0]["count"] >= 400
-        assert top[0]["count"] - top[0]["error"] <= 400
-
-    def test_disjoint_merge_matches_single_stream(self):
-        reference = SpaceSavingSketch(capacity=16)
-        shards = [SpaceSavingSketch(capacity=16) for _ in range(3)]
-        for shard_index, shard in enumerate(shards):
-            for i in range(4):
-                key = f"k{shard_index}.{i}"
-                for _ in range(shard_index + i + 1):
-                    shard.observe(key, plan_hit=True, latency_s=0.002)
-                    reference.observe(key, plan_hit=True, latency_s=0.002)
-        merged = SpaceSavingSketch(capacity=16)
-        for shard in shards:
-            merged.merge(shard.to_state())
-        assert merged.total == reference.total
-        assert merged.top(16) == reference.top(16)
-
-    def test_state_roundtrip_and_empty_merge(self):
-        sketch = SpaceSavingSketch(capacity=4)
-        sketch.observe("x", latency_s=0.5)
-        clone = SpaceSavingSketch.from_state(sketch.to_state())
-        assert clone.top(4) == sketch.top(4)
-        clone.merge(SpaceSavingSketch(capacity=4).to_state())
-        assert clone.top(4) == sketch.top(4)
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            SpaceSavingSketch(capacity=0)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +83,7 @@ class TestQuantileSketch:
     def test_empty_and_single_sample(self):
         empty = QuantileSketch()
         assert empty.quantile(0.5) is None
-        assert empty.summary() == {"count": 0}
+        assert empty.count == 0
         single = QuantileSketch()
         single.observe(0.125)
         # A single sample is clamped into [min, max]: exact.
@@ -210,7 +135,6 @@ class TestWorkloadAnalytics:
         state = analytics.state()
         assert state["layer"] == "analytics"
         assert state["requests"] == 2 and state["plan_hits"] == 1
-        assert state["tracked_signatures"] == 1
         assert state["latency"][0]["value"] == "solve"
 
     def test_merge_disjoint_states_matches_single_stream(self):
@@ -233,14 +157,14 @@ class TestWorkloadAnalytics:
         expected = reference.state()
         assert merged["requests"] == expected["requests"] == 10
         assert merged["plan_hits"] == expected["plan_hits"]
-        merged_report = analytics_report(merged)
-        expected_report = analytics_report(expected)
-        assert merged_report["signatures"]["top"] == expected_report["signatures"]["top"]
-        merged_solve = merged_report["latency"]["compile_phase_latency_seconds"]["solve"]
-        expected_solve = expected_report["latency"]["compile_phase_latency_seconds"]["solve"]
+        merged_solve = latency_sketches(merged)["compile_phase_latency_seconds"]["solve"]
+        expected_solve = latency_sketches(expected)["compile_phase_latency_seconds"]["solve"]
+        assert merged_solve.count == expected_solve.count == 10
         # Summation order differs between the merged and single-stream
-        # paths, so compare the summaries to float tolerance.
-        assert merged_solve == pytest.approx(expected_solve)
+        # paths, so compare the sums to float tolerance.
+        assert merged_solve.sum == pytest.approx(expected_solve.sum)
+        for q in (0.5, 0.95, 0.99):
+            assert merged_solve.quantile(q) == pytest.approx(expected_solve.quantile(q))
 
     def test_merge_empty_list_and_single_state(self):
         assert merge_analytics_states([])["requests"] == 0
@@ -249,19 +173,63 @@ class TestWorkloadAnalytics:
         merged = merge_analytics_states([analytics.state(), {}])
         assert merged["requests"] == 1
 
-    def test_enable_gate_context_manager(self):
-        assert analytics_enabled()
-        with analytics_disabled():
-            assert not analytics_enabled()
-        assert analytics_enabled()
+    def test_record_request_ignores_signature(self):
+        # perfbench/replay.py still passes a signature positionally; it
+        # must neither split the counters nor leave per-signature state.
+        analytics = WorkloadAnalytics()
+        analytics.record_request("sig-a", plan_hit=False, latency_s=0.5)
+        analytics.record_request("sig-b", plan_hit=True)
+        analytics.record_request(plan_hit=True)
+        state = analytics.state()
+        assert state["requests"] == 3 and state["plan_hits"] == 2
+        assert state["latency"] == []
+        assert set(state) == {"layer", "requests", "plan_hits", "latency"}
 
+    def test_analytics_enabled_is_constant_and_unexported(self):
+        import repro.obs
+        from repro.obs.analytics import analytics_enabled
+
+        assert analytics_enabled() is True
+        assert "analytics_enabled" not in repro.obs.__all__
+
+    def test_observe_latencies_matches_single_samples(self):
+        batched, single = WorkloadAnalytics(), WorkloadAnalytics()
+        samples = [("parse", 0.001), ("solve", 0.02), ("solve", 0.03)]
+        batched.observe_latencies("compile_phase_latency_seconds", "phase", samples)
+        for phase, seconds in samples:
+            single.observe_latency("compile_phase_latency_seconds", "phase", phase, seconds)
+        assert batched.state() == single.state()
+        assert latency_sketches(batched.state())["compile_phase_latency_seconds"][
+            "solve"
+        ].count == 2
+
+    def test_state_roundtrips_through_json(self):
+        # The state crosses the pool boundary and GET /stats as JSON, which
+        # stringifies the sketches' integer bucket keys.
+        analytics = WorkloadAnalytics()
+        analytics.record_request(plan_hit=True)
+        for value in (0.0, 0.004, 0.05):
+            analytics.observe_latency("endpoint_latency_seconds", "endpoint", "/compile", value)
+        state = analytics.state()
+        merged = merge_analytics_states([json.loads(json.dumps(state))])
+        assert merged["requests"] == 1 and merged["plan_hits"] == 1
+        original = latency_sketches(state)["endpoint_latency_seconds"]["/compile"]
+        clone = latency_sketches(merged)["endpoint_latency_seconds"]["/compile"]
+        assert clone.to_state() == original.to_state()
+
+    def test_reset_drops_counters_and_sketches(self):
+        analytics = WorkloadAnalytics()
+        analytics.record_request(plan_hit=True)
+        analytics.observe_latency("compile_phase_latency_seconds", "phase", "solve", 0.01)
+        analytics.reset()
+        assert analytics.state() == WorkloadAnalytics().state()
 
 # ---------------------------------------------------------------------------
-# Pipeline integration: execute_request records signatures
+# Pipeline integration: execute_request records every request
 # ---------------------------------------------------------------------------
 
 class TestExecuteRequestRecording:
-    def test_repeat_requests_count_one_signature_with_plan_hits(self):
+    def test_repeat_requests_count_with_plan_hits(self):
         executor = InProcessExecutor()
         try:
             workload_analytics().reset()
@@ -271,39 +239,18 @@ class TestExecuteRequestRecording:
             state = workload_analytics().state()
             assert state["requests"] == 3
             assert state["plan_hits"] >= 2  # first solve is cold
-            report = analytics_report(state)
-            assert report["signatures"]["top"][0]["count"] == 3
-        finally:
-            executor.close()
-
-    def test_signature_matches_affinity_key_and_abstracts_names(self):
-        executor = InProcessExecutor()
-        try:
-            workload_analytics().reset()
-            executor.submit(CompileRequest(source=source_for("one")))
-            executor.submit(CompileRequest(source=source_for("two")))
-            top = analytics_report(workload_analytics().state())["signatures"]["top"]
-            assert len(top) == 1 and top[0]["count"] == 2
-            assert top[0]["signature"] == affinity_key(
-                CompileRequest(source=source_for("three"))
-            )
         finally:
             executor.close()
 
     def test_phase_latency_sketches_populated(self):
         workload_analytics().reset()
         execute_request(CompileRequest(source=source_for("p")))
-        report = analytics_report(workload_analytics().state())
-        phases = report["latency"]["compile_phase_latency_seconds"]
-        assert phases["parse"]["count"] == 1
-        assert phases["solve"]["count"] == 1
-        assert phases["solve"]["p99_s"] > 0
-
-    def test_disabled_gate_skips_recording(self):
-        workload_analytics().reset()
-        with analytics_disabled():
-            execute_request(CompileRequest(source=source_for("off")))
-        assert workload_analytics().state()["requests"] == 0
+        phases = latency_sketches(workload_analytics().state())[
+            "compile_phase_latency_seconds"
+        ]
+        assert phases["parse"].count == 1
+        assert phases["solve"].count == 1
+        assert phases["solve"].quantile(0.99) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -313,30 +260,30 @@ class TestExecuteRequestRecording:
 class TestPoolMerging:
     def test_two_workers_disjoint_traffic_merges_to_reference(self):
         # Distinct structures hash to (potentially) different workers via
-        # affinity routing; the pooled analytics must equal what one
+        # affinity routing; the pooled analytics layer must count what one
         # single-stream reference process would have recorded.
         sizes = [40, 50, 60, 70]
         repeats = {40: 4, 50: 3, 60: 2, 70: 1}
         pool = WorkerPool(workers=2, request_timeout=120.0)
         try:
+            # Forked workers inherit this process's counters.
+            pool.reset_stats()
             for size in sizes:
                 for _ in range(repeats[size]):
                     response = pool.submit(
                         CompileRequest(source=source_for("w", size))
                     )
                     assert response.ok
-            pooled = pool.analytics()
+            pooled = pool.stats()["caches"]["analytics"]
             assert pooled["requests"] == sum(repeats.values())
-            report = analytics_report(pooled)
-            counts = [e["count"] for e in report["signatures"]["top"]]
-            assert counts == sorted(repeats.values(), reverse=True)
-            assert report["signatures"]["top"][0]["signature"] == affinity_key(
-                CompileRequest(source=source_for("z", 40))
-            )
-            # Quantiles merged across workers: one pooled sketch with all
-            # the samples.
-            phases = report["latency"]["compile_phase_latency_seconds"]
-            assert phases["solve"]["count"] == sum(repeats.values())
+            # Every repeat after a structure's first request is a plan hit.
+            assert pooled["plan_hits"] == sum(repeats.values()) - len(sizes)
+            # Quantiles merged across workers: one pooled sketch per phase
+            # with all the samples.
+            phases = latency_sketches(pooled)["compile_phase_latency_seconds"]
+            for phase in ("parse", "solve"):
+                assert phases[phase].count == sum(repeats.values())
+                assert phases[phase].quantile(0.99) > 0
         finally:
             pool.close()
 
@@ -345,7 +292,7 @@ class TestPoolMerging:
         try:
             workload_analytics().reset()
             executor.submit(CompileRequest(source=source_for("ip")))
-            assert executor.analytics()["requests"] >= 1
+            assert executor.stats()["caches"]["analytics"]["requests"] >= 1
         finally:
             executor.close()
 
@@ -379,22 +326,6 @@ def _request(url, payload=None):
 
 
 class TestAnalyticsEndpoints:
-    def test_analytics_endpoint_reports_top_signatures(self, analytics_service):
-        for _ in range(3):
-            status, _, _ = _request(
-                f"{analytics_service}/compile", {"source": source_for("h")}
-            )
-            assert status == 200
-        status, _, body = _request(f"{analytics_service}/analytics")
-        assert status == 200
-        report = json.loads(body)
-        assert report["requests"] >= 3
-        top = report["signatures"]["top"]
-        assert top and top[0]["count"] >= 3
-        assert "plan_hit_rate" in top[0] and "mean_latency_s" in top[0]
-        # Front-end endpoint latencies ride along.
-        assert "endpoint_latency_seconds" in report["latency"]
-
     def test_metrics_carries_quantile_gauges(self, analytics_service):
         _request(f"{analytics_service}/compile", {"source": source_for("q")})
         status, _, text = _request(f"{analytics_service}/metrics")
@@ -409,76 +340,6 @@ class TestAnalyticsEndpoints:
             r'repro_endpoint_latency_seconds\{endpoint="/compile",quantile="0.99"\}',
             text,
         )
-
-    def test_profile_endpoint_returns_collapsed_stacks(self, analytics_service):
-        status, headers, body = _request(
-            f"{analytics_service}/profile", {"source": source_for("pf")}
-        )
-        assert status == 200
-        assert headers["Content-Type"].startswith("text/plain")
-        lines = body.rstrip("\n").splitlines()
-        assert lines, "collapsed stacks must not be empty"
-        for line in lines[:50]:
-            stack, _, count = line.rpartition(" ")
-            assert stack and count.isdigit(), f"bad collapsed line: {line!r}"
-            assert " " not in stack.replace("; ", ";")
-
-
-# ---------------------------------------------------------------------------
-# Profiling hooks
-# ---------------------------------------------------------------------------
-
-class TestProfiling:
-    def test_profile_call_and_payload(self):
-        def work():
-            return sum(i * i for i in range(2000))
-
-        result, profiler = profile_call(work)
-        assert result == sum(i * i for i in range(2000))
-        rows = top_functions(profiler, limit=5)
-        assert rows and all(
-            {"function", "calls", "tottime_s", "cumtime_s"} <= set(row)
-            for row in rows
-        )
-        payload = profile_payload(profiler)
-        assert payload["top_functions"] and payload["collapsed"]
-
-    def test_collapsed_stack_format(self):
-        def inner():
-            return sum(range(1000))
-
-        def outer():
-            return inner() + inner()
-
-        _, profiler = profile_call(outer)
-        text = collapsed_stacks(profiler)
-        assert text.endswith("\n")
-        for line in text.rstrip("\n").splitlines():
-            stack, _, count = line.rpartition(" ")
-            assert count.isdigit()
-            assert ";" in stack or stack  # root-only frames are legal
-
-    def test_wire_option_roundtrip_and_response_payload(self):
-        from repro.options import CompileOptions
-
-        options = CompileOptions(profile=True)
-        assert options.to_wire()["profile"] is True
-        assert CompileOptions.from_wire(options.to_wire()).profile is True
-        response = execute_request(
-            CompileRequest(source=source_for("wire"), options=options)
-        )
-        assert response.ok and response.profile is not None
-        assert response.profile["collapsed"]
-        roundtrip = type(response).from_dict(
-            json.loads(json.dumps(response.to_dict()))
-        )
-        assert roundtrip.profile == response.profile
-
-    def test_unprofiled_response_has_no_payload(self):
-        response = execute_request(CompileRequest(source=source_for("plain")))
-        assert response.profile is None
-        assert "profile" not in response.to_dict()
-
 
 # ---------------------------------------------------------------------------
 # Rate-limited logging

@@ -62,9 +62,10 @@ class TestCompileOptions:
         with pytest.raises(ValueError):
             options.replace(metric="nonsense")
 
-    @pytest.mark.parametrize("field", ["solver", "parallelism"])
+    @pytest.mark.parametrize("field", ["solver", "parallelism", "profile"])
     def test_removed_fields_are_rejected(self, field):
-        """There is one DP loop: no solver choice, no intra-solve threads."""
+        """There is one DP loop: no solver choice, no intra-solve threads;
+        profiling is ``python -m cProfile``, not an option."""
         with pytest.raises(TypeError):
             CompileOptions(**{field: "gmc"})
         with pytest.raises(ValueError, match="unknown option fields"):

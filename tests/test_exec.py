@@ -10,6 +10,7 @@ emitted-vs-interpreted identity across the solver x metric matrix), and the
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import urllib.error
@@ -229,6 +230,63 @@ class TestModuleLoader:
             loader.load("raise RuntimeError('boom')\n", "broken-key")
         assert loader.lookup("broken-key") is None
         loader.clear()
+
+    def test_close_removes_only_its_own_directory(self, tmp_path):
+        result = _compile(CHAIN_SOURCE)
+        key = plan_signature(result)
+        owned = ModuleLoader()
+        owned.load(result.emit("module"), key)
+        directory = owned.directory
+        assert os.path.isdir(directory)
+        owned.close()
+        assert not os.path.exists(directory)
+        assert owned.lookup(key) is None
+
+        supplied = ModuleLoader(directory=str(tmp_path))
+        supplied.load(result.emit("module"), key)
+        supplied.close()
+        assert tmp_path.is_dir() and not list(tmp_path.iterdir())
+
+    def test_closed_loader_loads_into_a_fresh_directory(self):
+        result = _compile(CHAIN_SOURCE)
+        key = plan_signature(result)
+        loader = ModuleLoader()
+        loader.load(result.emit("module"), key)
+        first = loader.directory
+        loader.close()
+        loader.close()  # a second close is a no-op
+        loaded = loader.load(result.emit("module"), key)
+        second = loader.directory
+        try:
+            assert second != first and os.path.isdir(second)
+            assert loader.lookup(key) is loaded
+        finally:
+            loader.close()
+        assert not os.path.exists(second)
+
+    def test_collected_loader_removes_its_directory(self):
+        import gc
+
+        result = _compile(CHAIN_SOURCE)
+        loader = ModuleLoader()
+        loader.load(result.emit("module"), plan_signature(result))
+        directory = loader.directory
+        assert os.path.isdir(directory)
+        del loader
+        gc.collect()
+        assert not os.path.exists(directory)
+
+    def test_finalizer_of_an_inherited_loader_keeps_the_directory(self, tmp_path):
+        """A forked child runs its copy of the parent's finalizer with the
+        parent's pid recorded; the parent's directory must survive it."""
+        from repro.exec.loader import _remove_directory
+
+        directory = tmp_path / "repro_exec_parent"
+        directory.mkdir()
+        _remove_directory(str(directory), os.getpid() + 1)
+        assert directory.is_dir()
+        _remove_directory(str(directory), os.getpid())
+        assert not directory.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +516,21 @@ class TestExecutorExecute:
             second = pool.execute(_request(seed=4))
             assert second.ok and second.module_cache_hit
             assert pool._request_load == [0, 0]
+
+    def test_worker_shutdown_removes_module_directory(self, tmp_path, monkeypatch):
+        """Pool workers leave through ``os._exit``, so no finalizer runs;
+        the shutdown message itself must remove the loader's directory."""
+        import tempfile
+
+        from repro.exec import loader as loader_module
+
+        # Forked workers inherit both: each makes its own directory here.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(loader_module, "_DEFAULT_LOADER", None)
+        with WorkerPool(workers=1, request_timeout=120.0) as pool:
+            assert pool.execute(_request(seed=4)).ok
+            assert [p.name[:11] for p in tmp_path.iterdir()] == ["repro_exec_"]
+        assert not list(tmp_path.iterdir())
 
 
 @pytest.fixture(scope="class")

@@ -153,10 +153,17 @@ class TestCommandLineSolverFlags:
         return buffer.getvalue()
 
     @pytest.mark.parametrize(
-        "flag, value", [("--solver", "topdown"), ("--parallel", "threads:2")]
+        "flag, value",
+        [
+            ("--solver", "topdown"),
+            ("--parallel", "threads:2"),
+            ("--profile", "problem.chain"),
+            ("--profile-out", "stacks.txt"),
+        ],
     )
     def test_removed_solver_flags_are_usage_errors(self, flag, value, capsys):
-        """One DP loop: there is no solver to pick and no thread policy."""
+        """One DP loop: there is no solver to pick and no thread policy.
+        Profiling is ``python -m cProfile``, not a CLI flag."""
         from repro.frontend import main
 
         with pytest.raises(SystemExit) as excinfo:

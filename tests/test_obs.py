@@ -30,7 +30,6 @@ from repro.obs import (
     JsonFormatter,
     MetricsRegistry,
     QuantileSketch,
-    analytics_disabled,
     Tracer,
     explain_result,
     get_logger,
@@ -423,11 +422,11 @@ class TestServiceObservability:
         ]
         assert buckets and buckets == sorted(buckets)
 
-    def test_every_request_lands_once_with_analytics_off(self, obs_service):
-        """The latency sketch records every request whether or not
-        analytics is on; the histogram rendered from it stays consistent.
-        One keep-alive connection serializes the handler threads, so each
-        request's latency is recorded before the next request is read."""
+    def test_every_request_lands_once_in_latency_histogram(self, obs_service):
+        """The latency sketch records every request exactly once; the
+        histogram rendered from it stays consistent.  One keep-alive
+        connection serializes the handler threads, so each request's
+        latency is recorded before the next request is read."""
         requests = 5
         source = "Matrix A (6, 6) <>\nMatrix B (6, 3) <>\nX := A * B\n"
         connection = http.client.HTTPConnection(
@@ -453,10 +452,9 @@ class TestServiceObservability:
 
         try:
             before = samples(call("GET", "/metrics"), "_count")
-            with analytics_disabled():
-                for _ in range(requests):
-                    call("POST", "/compile", {"source": source})
-                text = call("GET", "/metrics")
+            for _ in range(requests):
+                call("POST", "/compile", {"source": source})
+            text = call("GET", "/metrics")
         finally:
             connection.close()
         buckets = samples(text, "_bucket")

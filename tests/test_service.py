@@ -394,10 +394,16 @@ class TestHTTP:
         body = json.loads(excinfo.value.read())
         assert body["ok"] is False and body["error"]
 
-    @pytest.mark.parametrize("path", ["/nope", "/timeseries"])
+    @pytest.mark.parametrize("path", ["/nope", "/timeseries", "/analytics"])
     def test_unknown_path_is_404(self, http_service, path):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(f"{http_service}{path}")
+        assert excinfo.value.code == 404
+
+    def test_removed_profile_endpoint_is_404(self, http_service):
+        source = similar_sources(1, prefix="Profiled")[0]
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(f"{http_service}/profile", {"source": source})
         assert excinfo.value.code == 404
 
     @pytest.mark.parametrize("path", ["/compile", "/execute"])
@@ -406,6 +412,7 @@ class TestHTTP:
         [
             ({"options": {"solver": "topdown"}}, "unknown option fields"),
             ({"options": {"parallelism": "threads:2"}}, "unknown option fields"),
+            ({"options": {"profile": True}}, "unknown option fields"),
             ({"metric": "flops"}, "unknown request fields"),
             ({"emit": ["julia"]}, "unknown request fields"),
             ({"prune": False}, "unknown request fields"),
@@ -413,8 +420,8 @@ class TestHTTP:
         ],
     )
     def test_removed_option_fields_are_400(self, http_service, path, fields, message):
-        """Removed options (``solver``, ``parallelism``) and top-level flat
-        option fields are client errors, never a 500."""
+        """Removed options (``solver``, ``parallelism``, ``profile``) and
+        top-level flat option fields are client errors, never a 500."""
         source = similar_sources(1, prefix="Removed")[0]
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(f"{http_service}{path}", {"source": source, **fields})
