@@ -35,6 +35,8 @@ MANIFEST = REPO_ROOT / "scripts" / "api_surface.json"
 SURFACE_MODULES = (
     "repro",
     "repro.options",
+    "repro.algebra",
+    "repro.matching",
     "repro.frontend",
     "repro.core",
     "repro.codegen",

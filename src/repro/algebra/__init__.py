@@ -23,16 +23,8 @@ from .inference import (
     PropertyInference,
     clear_inference_cache,
     has_property,
-    has_property_legacy,
     infer_properties,
-    infer_properties_legacy,
     inference_engine,
-    is_diagonal,
-    is_lower_triangular,
-    is_spd,
-    is_symmetric,
-    is_upper_triangular,
-    legacy_inference,
     properties_after_inverse,
     properties_after_transpose,
 )
@@ -41,7 +33,6 @@ from .interning import (
     clear_intern_table,
     default_interner,
     intern,
-    interning_disabled,
 )
 from .operators import Inverse, InverseTranspose, Plus, Times, Transpose
 from .properties import Property, PropertyError, closure, implies, parse_property
@@ -77,23 +68,14 @@ __all__ = [
     "implies",
     "parse_property",
     "infer_properties",
-    "infer_properties_legacy",
     "has_property",
-    "has_property_legacy",
     "PropertyInference",
     "inference_engine",
-    "legacy_inference",
     "clear_inference_cache",
     "ExpressionInterner",
     "intern",
     "default_interner",
-    "interning_disabled",
     "clear_intern_table",
-    "is_lower_triangular",
-    "is_upper_triangular",
-    "is_diagonal",
-    "is_symmetric",
-    "is_spd",
     "properties_after_transpose",
     "properties_after_inverse",
     "normalize",

@@ -19,16 +19,15 @@ The canonical table is keyed by structural equality, which is cheap here
 because every node caches its hash and identity key at construction time
 (:meth:`Expression._prime_identity_cache`).
 
-Interning is *optional*: nothing in the algebra layer requires canonical
-nodes, and :func:`interning_disabled` turns the construction path into the
-identity function (the reference the differential tests compare against).
+Nothing in the algebra layer *requires* canonical nodes: interning changes
+which object represents a structure, never a result.  The differential tests
+check that by solving with :func:`intern` replaced by the identity.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
+from typing import Dict
 
 from .expression import Expression
 from .operators import Inverse, InverseTranspose, Plus, Times, Transpose
@@ -37,7 +36,6 @@ __all__ = [
     "ExpressionInterner",
     "default_interner",
     "intern",
-    "interning_disabled",
     "clear_intern_table",
 ]
 
@@ -132,7 +130,6 @@ def _rebuild(expr: Expression, children) -> Expression:
 # ---------------------------------------------------------------------------
 
 _DEFAULT = ExpressionInterner()
-_ACTIVE: Optional[ExpressionInterner] = _DEFAULT
 
 
 def default_interner() -> ExpressionInterner:
@@ -141,27 +138,8 @@ def default_interner() -> ExpressionInterner:
 
 
 def intern(expr: Expression) -> Expression:
-    """Intern through the active interner; identity when interning is off."""
-    active = _ACTIVE
-    if active is None:
-        return expr
-    return active.intern(expr)
-
-
-@contextmanager
-def interning_disabled() -> Iterator[None]:
-    """Temporarily make :func:`intern` the identity function.
-
-    The differential tests solve under it to check that hash-consing
-    changes no solution.
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = None
-    try:
-        yield
-    finally:
-        _ACTIVE = previous
+    """Intern through the process-wide default interner."""
+    return _DEFAULT.intern(expr)
 
 
 def clear_intern_table() -> None:

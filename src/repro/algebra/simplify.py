@@ -33,8 +33,9 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from .expression import Expression, Matrix, signature_digest
-from .inference import is_identity, is_symmetric
+from .inference import _strip_unary
 from .operators import Inverse, InverseTranspose, Plus, Times, Transpose
+from .properties import Property
 
 
 class NormalizationError(ValueError):
@@ -54,7 +55,8 @@ def transpose(expr: Expression) -> Expression:
         return Times(*reversed_children)
     if isinstance(expr, Plus):
         return Plus(*[transpose(child) for child in expr.children])
-    if is_symmetric(expr):
+    # Only a leaf reaches this point.
+    if isinstance(expr, Matrix) and Property.SYMMETRIC in expr.properties:
         # The transpose of a symmetric operand is the operand itself; dropping
         # the operator keeps chain factors in their simplest form and lets the
         # symmetric kernels (SYMM, POSV, ...) match directly.
@@ -125,8 +127,13 @@ def normalize(expr: Expression) -> Expression:
 
 def _droppable_identity(expr: Expression) -> bool:
     """An identity factor can be dropped from a product when it is square
-    (it always is) -- dropping it never changes the product's value."""
-    return is_identity(expr)
+    (it always is) -- dropping it never changes the product's value.
+
+    Normalized product factors are leaves, possibly under unary operators,
+    and a transposed or inverted identity is the identity.
+    """
+    core = _strip_unary(expr)
+    return isinstance(core, Matrix) and Property.IDENTITY in core.properties
 
 
 def as_chain(expr: Expression) -> Tuple[Expression, ...]:

@@ -6,6 +6,8 @@ cell, "which kernel computes ``Times(left, right)``, and at what cost?".
 per-solve memo keyed by the operands' shape/property signatures, so a
 structurally repeated split skips the match walk, every per-kernel cost
 evaluation and the argmin, and merely re-binds the winning substitution.
+Like the match cache it watches only the catalog net's version: the
+inference rules that kernel constraints evaluate are fixed.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..algebra.expression import Matrix
-from ..algebra.inference import registry_is_customized, registry_version
 from ..algebra.operators import Times
 from ..matching.discrimination_net import _flatten_subject
 from ..matching.match_cache import _binding_slots
@@ -68,8 +69,8 @@ class KernelDecisionMemo:
 
     One memo serves one solve.  Construction is gated by
     :func:`make_decision_memo` on the same conditions under which the
-    match cache trusts signatures; the watched net/registry versions are
-    re-checked on every lookup, mirroring the match cache's invalidation.
+    match cache trusts signatures; the watched net version is re-checked on
+    every lookup, mirroring the match cache's invalidation.
     """
 
     __slots__ = (
@@ -78,7 +79,6 @@ class KernelDecisionMemo:
         "_entries",
         "_leaves",
         "_net_version",
-        "_registry_version",
         "hits",
         "misses",
     )
@@ -91,7 +91,6 @@ class KernelDecisionMemo:
         # Holding the operand keeps its id stable for the memo's lifetime.
         self._leaves: Dict[int, tuple] = {}
         self._net_version = net.version
-        self._registry_version = registry_version()
         self.hits = 0
         self.misses = 0
 
@@ -121,13 +120,9 @@ class KernelDecisionMemo:
         subject on a miss and ``None`` on a hit (callers construct it
         lazily, only for candidates that survive the cost merge).
         """
-        if (
-            self._registry_version != registry_version()
-            or self._net_version != self._net.version
-        ):
+        if self._net_version != self._net.version:
             self._entries.clear()
             self._net_version = self._net.version
-            self._registry_version = registry_version()
         left_keys, left_wild = self._leaf_info(left)
         right_keys, right_wild = self._leaf_info(right)
         if left_wild or right_wild:
@@ -189,14 +184,10 @@ def make_decision_memo(catalog, metric, fallback) -> Optional[KernelDecisionMemo
 
     * the metric must be :attr:`~repro.cost.metrics.CostMetric.cacheable`
       and :attr:`~repro.cost.metrics.CostMetric.signature_pure`;
-    * the predicate registry must not be customized (user predicates may
-      observe what the signature abstracts away);
     * the catalog's net must expose the structural-safety flags and have
       neither concrete-leaf patterns nor opaque predicates.
     """
     if not (getattr(metric, "cacheable", False) and getattr(metric, "signature_pure", False)):
-        return None
-    if registry_is_customized():
         return None
     net = getattr(catalog, "net", None)
     if (

@@ -263,6 +263,21 @@ def default_loader() -> ModuleLoader:
     return _DEFAULT_LOADER
 
 
+def reset_default_loader() -> ModuleLoader:
+    """Replace the process-global loader with a fresh, empty one.
+
+    A forked pool worker calls this at boot: the loader it inherited holds
+    the parent's modules and temp directory, which the worker must neither
+    write into nor clean up.  The inherited loader is dropped, not closed
+    (its finalizer only removes the directory in the process that made it).
+    The lock is not taken: it may have been held by another thread of the
+    parent at fork time, and a booting worker runs one thread.
+    """
+    global _DEFAULT_LOADER
+    _DEFAULT_LOADER = ModuleLoader()
+    return _DEFAULT_LOADER
+
+
 class ExecutionTelemetry:
     """Process-wide execution counters, merged with the loader cache stats.
 

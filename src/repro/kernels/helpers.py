@@ -128,9 +128,8 @@ def has(name: str, prop: Property) -> Constraint:
         expr = substitution.get(name)
         return expr is not None and has_property(expr, prop)
 
-    # Property checks go through symbolic inference, which is a function of
-    # structure + declared leaf properties (registry customization is
-    # handled separately by the match cache's version watch / bypass).
+    # Property checks go through symbolic inference, whose fixed rules are
+    # a function of structure + declared leaf properties.
     return Constraint(structural_predicate(check), f"is_{prop.value}({name})")
 
 

@@ -5,7 +5,7 @@ compute a given sub-expression, mirroring the role MatchPy plays in the
 paper's reference implementation (Section 3.1).
 """
 
-from .discrimination_net import DiscriminationNet, legacy_binding
+from .discrimination_net import DiscriminationNet
 from .match_cache import MatchCache
 from .patterns import (
     Constraint,
@@ -26,6 +26,5 @@ __all__ = [
     "matches",
     "property_constraint",
     "DiscriminationNet",
-    "legacy_binding",
     "MatchCache",
 ]

@@ -26,7 +26,6 @@ Implementation notes
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -37,29 +36,6 @@ from .patterns import Pattern, Substitution, Wildcard, is_structural_predicate
 _WILDCARD_TOKEN = "*"
 
 _OPERATOR_TYPES = (Times, Plus, Transpose, Inverse, InverseTranspose)
-
-#: When true, :meth:`DiscriminationNet.match` routes acceptance through the
-#: reference binding path (see :func:`legacy_binding`).
-_LEGACY_BINDING = False
-
-
-@contextmanager
-def legacy_binding() -> Iterator[None]:
-    """Route match acceptance through the reference (pre-optimization) path.
-
-    The reference path re-derives the wildcard table from the pattern tree
-    and builds the substitution through a chain of copies, exactly as the
-    original implementation did; it is kept as the reference the
-    differential tests compare the optimized matcher against.
-    """
-    global _LEGACY_BINDING
-    previous = _LEGACY_BINDING
-    _LEGACY_BINDING = True
-    try:
-        yield
-    finally:
-        _LEGACY_BINDING = previous
-
 
 def _node_token(node: Expression) -> Tuple:
     """Flatten one expression node to a hashable trie token.
@@ -284,8 +260,6 @@ class DiscriminationNet:
         """Yield every pattern of the net that matches *subject*."""
         nodes, sizes = _flatten_subject(subject)
         total = len(nodes)
-        legacy = _LEGACY_BINDING
-        prune = not legacy
 
         # Depth-first search over (net node, subject position, bindings).
         # ``bindings`` is the list of subject sub-expressions consumed by
@@ -294,13 +268,6 @@ class DiscriminationNet:
         while stack:
             net_node, position, bindings = stack.pop()
             if position == total:
-                if legacy:
-                    for group in net_node.accepts:
-                        for entry in group.entries:
-                            substitution = self._bind_reference(entry, bindings)
-                            if substitution is not None:
-                                yield entry.pattern, substitution, entry.payload
-                    continue
                 for group in net_node.accepts:
                     slot_names = group.slot_names
                     if len(slot_names) != len(bindings):
@@ -341,49 +308,14 @@ class DiscriminationNet:
                 # When every pattern slot routed through this edge carries
                 # the same predicate, evaluate it here once and prune the
                 # whole branch on failure (bind would reject each pattern
-                # individually otherwise).  Disabled in legacy mode, which
-                # reproduces the original acceptance behaviour.
+                # individually otherwise).
                 predicate = wildcard_edge.wildcard_predicate
-                if prune and predicate is not None and not predicate(subject_node):
+                if predicate is not None and not predicate(subject_node):
                     continue
                 skip = sizes[position]
                 stack.append(
                     (wildcard_edge, position + skip, bindings + (subject_node,))
                 )
-
-    def _bind_reference(
-        self,
-        entry: _AcceptEntry,
-        bindings: Tuple[Expression, ...],
-    ) -> Optional[Substitution]:
-        """Reference acceptance path, kept verbatim from the original
-        implementation: rebuilds the wildcard table from the pattern tree and
-        extends the substitution binding by binding.
-
-        Semantically identical to :meth:`_bind` (asserted by the
-        differential tests); activated by :func:`legacy_binding`, which
-        those tests use to run the pre-optimization matcher.
-        """
-        pattern = entry.pattern
-        slot_names = entry.slot_names
-        if len(slot_names) != len(bindings):
-            return None
-        substitution: Optional[Substitution] = Substitution()
-        wildcards_by_name = {
-            node.name: node
-            for node in pattern.expression.preorder()
-            if isinstance(node, Wildcard)
-        }
-        for name, expr in zip(slot_names, bindings):
-            wildcard = wildcards_by_name.get(name)
-            if wildcard is not None and not wildcard.admits(expr):
-                return None
-            substitution = substitution.extended(name, expr)
-            if substitution is None:
-                return None
-        if not pattern.check_constraints(substitution):
-            return None
-        return substitution
 
     def match_first(self, subject: Expression) -> Optional[Tuple[Pattern, Substitution, object]]:
         """Return an arbitrary successful match, or ``None``."""

@@ -25,25 +25,21 @@ hits.
 
 Invalidation
 ------------
-Cached kernel lists embed two kinds of semantics that can change:
+Cached kernel lists embed the catalog's patterns, which can change by
+**catalog extension**: adding a pattern to the net would make every cached
+list stale, so the cache records the net's ``version`` and flushes when it
+moves (catalogs built via ``KernelCatalog.extended`` get a fresh net *and* a
+fresh cache, so they are safe either way).  The inference rules that
+constraints evaluate are fixed (:mod:`repro.algebra.inference`), so nothing
+else can go stale.
 
-* **catalog extension** -- adding a pattern to the net would make every
-  cached list stale; the cache records the net's ``version`` and flushes
-  when it moves (catalogs built via ``KernelCatalog.extended`` get a fresh
-  net *and* a fresh cache, so they are safe either way);
-* **predicate-registry mutation** -- constraints evaluate properties through
-  :data:`repro.algebra.inference.PREDICATES`; the cache records the registry
-  version and flushes on any change, and while the registry is *customized*
-  (differs from the built-in set) it bypasses caching entirely, because a
-  user predicate may inspect details the signature abstracts away.
-
-The cache additionally bypasses nets containing concrete-leaf patterns
-(which match on operand names), nets containing wildcard predicates or
-constraints not marked :func:`~repro.matching.patterns.structural_predicate`
-(user-supplied callables may observe what the signature abstracts away),
-and subjects containing wildcards.  Entries
-are evicted LRU-style under a configurable bound, so long-running (batch /
-server) processes hold their working set instead of resetting wholesale.
+The cache bypasses nets containing concrete-leaf patterns (which match on
+operand names), nets containing wildcard predicates or constraints not
+marked :func:`~repro.matching.patterns.structural_predicate` (user-supplied
+callables may observe what the signature abstracts away), and subjects
+containing wildcards.  Entries are evicted LRU-style under a configurable
+bound, so long-running (batch / server) processes hold their working set
+instead of resetting wholesale.
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ from collections import OrderedDict
 from typing import List, Optional, Tuple
 
 from ..algebra.expression import Expression
-from ..algebra.inference import registry_is_customized, registry_version
 from .discrimination_net import DiscriminationNet, _flatten_subject
 from .patterns import Substitution, Wildcard
 
@@ -82,8 +77,6 @@ class MatchCache:
         self.evictions = 0
         self.bypasses = 0
         self._net_version = net.version
-        self._registry_version = registry_version()
-        self._registry_custom = registry_is_customized()
 
     # -------------------------------------------------------------- inspection
     def __len__(self) -> int:
@@ -99,8 +92,7 @@ class MatchCache:
         """Plain-dict counters (uniform cache-stats protocol).
 
         ``bypasses`` counts lookups routed around the cache by the
-        invalidation rules (customized predicate registry, concrete-leaf or
-        opaque-predicate patterns); they are excluded from the hit rate
+        invalidation rules (concrete-leaf or opaque-predicate patterns); they are excluded from the hit rate
         because no cache decision was made.
         """
         return {
@@ -121,11 +113,9 @@ class MatchCache:
         self.bypasses = 0
 
     def clear(self) -> None:
-        """Drop all entries (and re-sync the watched versions)."""
+        """Drop all entries (and re-sync the watched net version)."""
         self._entries.clear()
         self._net_version = self._net.version
-        self._registry_version = registry_version()
-        self._registry_custom = registry_is_customized()
 
     # --------------------------------------------------------------- snapshot
     def export_entries(self) -> List[Tuple[Tuple, List[_CachedMatch]]]:
@@ -140,15 +130,13 @@ class MatchCache:
         """Insert snapshot entries for keys not already cached.
 
         The caller (:mod:`repro.persist.snapshot`) validates that the
-        snapshot's net/registry versions match this process before calling;
+        snapshot's net version matches this process before calling;
         warm in-memory entries are never overwritten.  Exports are
         LRU-ordered oldest-first; when capacity runs short the *newest*
         (most recently used) entries win, whatever the cache already
         holds.  Returns the number of entries inserted.
         """
-        if self._registry_version != registry_version() or (
-            self._net_version != self._net.version
-        ):
+        if self._net_version != self._net.version:
             self.clear()
         capacity = self.max_entries - len(self._entries)
         selected = []
@@ -169,14 +157,8 @@ class MatchCache:
         Equivalent to walking the net directly; the walk is skipped when a
         signature-equal subject was matched before.
         """
-        if self._registry_version != registry_version():
-            self.clear()
         net = self._net
-        if (
-            self._registry_custom
-            or net.has_concrete_leaf_patterns
-            or net.has_opaque_predicates
-        ):
+        if net.has_concrete_leaf_patterns or net.has_opaque_predicates:
             self.bypasses += 1
             return [
                 (payload, substitution)

@@ -38,13 +38,11 @@ every segment they share a shape with.  Unresolved
 reference's signature does not capture its defining expression.
 
 Invalidation mirrors the match cache, because a plan embeds strictly more
-catalog semantics than a match result:
+catalog semantics than a match result (the inference rules are fixed, so
+the catalog is the only moving part):
 
 * **catalog extension** -- the cache records the discrimination net's
   ``version`` and flushes when it moves;
-* **predicate-registry mutation** -- the cache records
-  :func:`~repro.algebra.inference.registry_version` and flushes on change,
-  and bypasses entirely while the registry is *customized*;
 * nets containing **concrete-leaf patterns** or **opaque predicates** (both
   may observe what the signature abstracts away) bypass the cache, as do
   chains with non-:class:`~repro.algebra.expression.Matrix` leaves, live
@@ -63,11 +61,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..algebra.expression import Expression, Matrix, Reference, Temporary
-from ..algebra.inference import (
-    infer_properties,
-    registry_is_customized,
-    registry_version,
-)
+from ..algebra.inference import infer_properties
 from ..algebra.interning import intern
 from ..algebra.operators import Times
 from ..core.gmc import _coerce_chain
@@ -311,7 +305,6 @@ class PlanCache:
         #: Entries imported from an on-disk snapshot (warm boot).
         self.restored = 0
         self._net_version = self._net.version
-        self._registry_version = registry_version()
 
     # ------------------------------------------------------------ inspection
     @property
@@ -350,10 +343,9 @@ class PlanCache:
         self.restored = 0
 
     def clear(self) -> None:
-        """Drop all entries (and re-sync the watched versions)."""
+        """Drop all entries (and re-sync the watched net version)."""
         self._entries.clear()
         self._net_version = self._net.version
-        self._registry_version = registry_version()
 
     # ---------------------------------------------------------- eligibility
     def _usable(self, options: CompileOptions) -> bool:
@@ -367,17 +359,12 @@ class PlanCache:
             return False  # live metric instances may be arbitrarily custom
         if options.catalog is not None and options.catalog is not self._catalog:
             return False
-        if registry_is_customized():
-            return False
         if self._net.has_concrete_leaf_patterns or self._net.has_opaque_predicates:
             return False
         return True
 
     def _sync(self) -> None:
-        if (
-            self._registry_version != registry_version()
-            or self._net_version != self._net.version
-        ):
+        if self._net_version != self._net.version:
             self.clear()
 
     @staticmethod
@@ -513,7 +500,7 @@ class PlanCache:
         """Insert snapshot entries (cold keys only); returns the count.
 
         The caller (:mod:`repro.persist.snapshot`) has already validated
-        that the snapshot's catalog/net/registry versions match this
+        that the snapshot's catalog digest and net version match this
         process; entries never overwrite warmer in-memory state.  Exports
         are LRU-ordered oldest-first; when capacity runs short the *newest*
         (most recently used) entries win, whatever the cache already holds.

@@ -14,8 +14,7 @@ One JSON object::
     {
       "format":  "repro-cache-snapshot",
       "version": 2,
-      "catalog": {"name": ..., "kernels": <digest>,
-                  "net_version": N, "registry_version": M},
+      "catalog": {"name": ..., "kernels": <digest>, "net_version": N},
       "plan_entries":  [{"signature": [...], "fingerprint": [...],
                          "recipe": {...}}, ...],
       "match_entries": [{"signature": [...],
@@ -32,8 +31,8 @@ mid-write leaves the previous snapshot intact.
 
 Loading is **never allowed to crash a worker**: a missing, truncated,
 corrupt or checksum-mismatched file, an unknown format/version, a different
-catalog (kernel-set digest), or catalog/predicate-registry version drift
-all produce a clean *cold boot* -- :func:`load_snapshot` returns
+catalog (kernel-set digest), or net version drift all produce a clean
+*cold boot* -- :func:`load_snapshot` returns
 ``{"loaded": False, "reason": ...}`` and the caches simply start empty.
 """
 
@@ -46,7 +45,6 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..algebra.inference import registry_version
 from ..algebra.properties import Property
 from ..kernels.catalog import KernelCatalog
 from .plan_cache import PlanCache, PlanRecipe
@@ -144,7 +142,6 @@ def _catalog_meta(catalog: KernelCatalog) -> Dict[str, object]:
         "name": catalog.name,
         "kernels": _catalog_digest(catalog),
         "net_version": catalog.net.version,
-        "registry_version": registry_version(),
     }
 
 
@@ -299,13 +296,14 @@ def restore_state(
     """Install a validated snapshot body into live caches.
 
     Raises :class:`SnapshotError` when the snapshot was captured against a
-    different catalog (kernel digest), an extended discrimination net or a
-    mutated predicate registry -- staleness must fall back cold, never serve
-    wrong plans.
+    different catalog (kernel digest) or an extended discrimination net --
+    staleness must fall back cold, never serve wrong plans.  Other catalog
+    fields are ignored, so an older snapshot that also recorded a
+    predicate-registry version loads warm.
     """
     meta = state.get("catalog") or {}
     current = _catalog_meta(catalog)
-    for field in ("kernels", "net_version", "registry_version"):
+    for field in ("kernels", "net_version"):
         if meta.get(field) != current[field]:
             raise SnapshotError(
                 f"catalog drift: snapshot {field}={meta.get(field)!r}, "

@@ -61,7 +61,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from ..exec.loader import default_loader
+from ..exec.loader import default_loader, reset_default_loader
 from ..frontend.compiler import Compiler
 from ..obs.logging import get_logger
 from ..kernels.catalog import KernelCatalog
@@ -321,9 +321,15 @@ def _worker_main(worker_id: int, inbox, outbox, snapshot_file=None) -> None:
     already runs one process per core, and NumPy's and SciPy's separate
     OpenBLAS thread pools otherwise spin against each other on plans that
     interleave products with solves (:mod:`repro.runtime.blas_threads`).
+    A forked worker also starts with copies of the parent's process-global
+    state, so it then takes a module loader of its own (shutdown must not
+    unlink the parent's module files) and zeroes the inherited counters, so
+    its stats count only the requests it served.
     """
     limit_blas_threads()
+    reset_default_loader()
     compiler = Compiler()
+    compiler.reset_cache_stats()
     snapshot_load = None
     if snapshot_file is not None:
         snapshot_load = load_snapshot(

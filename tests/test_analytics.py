@@ -266,8 +266,6 @@ class TestPoolMerging:
         repeats = {40: 4, 50: 3, 60: 2, 70: 1}
         pool = WorkerPool(workers=2, request_timeout=120.0)
         try:
-            # Forked workers inherit this process's counters.
-            pool.reset_stats()
             for size in sizes:
                 for _ in range(repeats[size]):
                     response = pool.submit(
@@ -286,6 +284,19 @@ class TestPoolMerging:
                 assert phases[phase].quantile(0.99) > 0
         finally:
             pool.close()
+
+    def test_new_pool_counts_only_its_own_requests(self):
+        # Workers fork from this process after it served a request of its
+        # own; they must not report the counters they inherited.
+        execute_request(CompileRequest(source=source_for("parent")))
+        assert workload_analytics().state()["requests"] >= 1
+        with WorkerPool(workers=1, request_timeout=120.0) as pool:
+            for size in (40, 50, 40):
+                response = pool.submit(CompileRequest(source=source_for("own", size)))
+                assert response.ok
+            pooled = pool.stats()["caches"]["analytics"]
+        assert pooled["requests"] == 3
+        assert pooled["plan_hits"] == 1
 
     def test_inprocess_executor_exposes_analytics(self):
         executor = InProcessExecutor()

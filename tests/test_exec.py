@@ -522,15 +522,40 @@ class TestExecutorExecute:
         the shutdown message itself must remove the loader's directory."""
         import tempfile
 
-        from repro.exec import loader as loader_module
-
-        # Forked workers inherit both: each makes its own directory here.
+        # Forked workers inherit the temp root and make their directory here.
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        monkeypatch.setattr(loader_module, "_DEFAULT_LOADER", None)
         with WorkerPool(workers=1, request_timeout=120.0) as pool:
             assert pool.execute(_request(seed=4)).ok
             assert [p.name[:11] for p in tmp_path.iterdir()] == ["repro_exec_"]
         assert not list(tmp_path.iterdir())
+
+    def test_worker_never_touches_the_parent_loader(self, tmp_path, monkeypatch):
+        """A forked worker boots with a loader of its own: it writes no
+        module into the parent's directory, and its shutdown unlinks none
+        of the parent's module files."""
+        import tempfile
+
+        from repro.exec import loader as loader_module
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        parent = ModuleLoader()
+        monkeypatch.setattr(loader_module, "_DEFAULT_LOADER", parent)
+        entry = parent.load("VALUE = 1\n", "parent-module")
+        parent_files = sorted(os.listdir(parent.directory))
+        try:
+            with WorkerPool(workers=1, request_timeout=120.0) as pool:
+                assert pool.execute(_request(seed=4)).ok
+                others = [
+                    path.name
+                    for path in tmp_path.iterdir()
+                    if str(path) != parent.directory
+                ]
+                assert len(others) == 1, others  # the worker's own directory
+                assert sorted(os.listdir(parent.directory)) == parent_files
+            assert sorted(os.listdir(parent.directory)) == parent_files
+            assert os.path.exists(entry.path)
+        finally:
+            parent.close()
 
 
 @pytest.fixture(scope="class")

@@ -24,7 +24,6 @@ from repro.algebra import (
     Vector,
     default_interner,
     intern,
-    interning_disabled,
 )
 from repro.algebra.operators import Plus
 from repro.matching.patterns import Wildcard
@@ -135,13 +134,6 @@ class TestInterning:
         a = intern(Matrix("InternMe", 3, 3))
         assert intern(Matrix("InternMe", 3, 3)) is a
         assert default_interner().intern(Matrix("InternMe", 3, 3)) is a
-
-    def test_interning_disabled_is_identity(self):
-        fresh = Matrix("DisabledCase", 3, 3)
-        with interning_disabled():
-            assert intern(fresh) is fresh
-            other = Matrix("DisabledCase", 3, 3)
-            assert intern(other) is other  # no canonicalization in the scope
 
     def test_table_reset_keeps_interning_sound(self):
         interner = ExpressionInterner(max_entries=2)

@@ -1,4 +1,9 @@
-"""Tests for symbolic property inference (paper Section 3.2, Fig. 5/6)."""
+"""Tests for symbolic property inference (paper Section 3.2, Fig. 5/6).
+
+Each ``is_*`` check below asks the shipped engine (:func:`has_property`)
+and asserts that the Fig. 6 predicate of ``reference_inference.py`` agrees
+on the same expression.
+"""
 
 from repro.algebra import (
     IdentityMatrix,
@@ -12,24 +17,34 @@ from repro.algebra import (
     ZeroMatrix,
     has_property,
     infer_properties,
-    is_diagonal,
-    is_lower_triangular,
-    is_spd,
-    is_symmetric,
-    is_upper_triangular,
     properties_after_inverse,
     properties_after_transpose,
 )
-from repro.algebra.inference import (
-    is_banded,
-    is_full_rank,
-    is_identity,
-    is_non_singular,
-    is_orthogonal,
-    is_spsd,
-    is_unit_diagonal,
-    is_zero,
-)
+from reference_inference import PREDICATES
+
+
+def _engine_check(prop):
+    def check(expr):
+        answer = has_property(expr, prop)
+        assert answer == PREDICATES[prop](expr), (str(expr), prop)
+        return answer
+
+    return check
+
+
+is_banded = _engine_check(Property.BANDED)
+is_diagonal = _engine_check(Property.DIAGONAL)
+is_full_rank = _engine_check(Property.FULL_RANK)
+is_identity = _engine_check(Property.IDENTITY)
+is_lower_triangular = _engine_check(Property.LOWER_TRIANGULAR)
+is_non_singular = _engine_check(Property.NON_SINGULAR)
+is_orthogonal = _engine_check(Property.ORTHOGONAL)
+is_spd = _engine_check(Property.SPD)
+is_spsd = _engine_check(Property.SPSD)
+is_symmetric = _engine_check(Property.SYMMETRIC)
+is_unit_diagonal = _engine_check(Property.UNIT_DIAGONAL)
+is_upper_triangular = _engine_check(Property.UPPER_TRIANGULAR)
+is_zero = _engine_check(Property.ZERO)
 
 L = Matrix("L", 6, 6, {Property.LOWER_TRIANGULAR, Property.NON_SINGULAR})
 L2 = Matrix("L2", 6, 6, {Property.LOWER_TRIANGULAR})

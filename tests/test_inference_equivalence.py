@@ -1,36 +1,54 @@
-"""Differential tests: single-pass memoized inference vs. legacy predicates.
+"""Differential tests: the shipped engine and matcher against test oracles.
 
 The memoized engine (:class:`repro.algebra.inference.PropertyInference`)
-re-implements the Fig. 6 predicate recursion as one fused bottom-up pass.
-These tests pin the two paths together: on randomly generated generalized
-chains (and every node of their trees) the inferred property sets must be
-*identical*, and the GMC algorithm must produce identical solutions under
-either path -- and with hash-consing turned off.
+re-implements the Fig. 6 predicate recursion (kept in
+``reference_inference.py``) as one fused bottom-up pass, and the
+discrimination net matches every kernel pattern in one walk where the
+reference matches one pattern at a time with
+:func:`repro.matching.patterns.match` -- the role the one-to-one matcher
+plays next to the many-to-one net in MatchPy (Krebber, Barthels &
+Bientinesi, arXiv:1710.00077).  These tests pin each pair together: on randomly generated
+generalized chains (and every node of their trees) the inferred property
+sets and kernel matches must be *identical*, and the GMC algorithm must
+produce identical solutions with either reference substituted -- and with
+hash-consing turned off.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Iterator
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.algebra import (
+    Inverse,
+    InverseTranspose,
     Matrix,
+    Plus,
     Property,
     Times,
+    Transpose,
     clear_inference_cache,
     has_property,
-    has_property_legacy,
     infer_properties,
-    infer_properties_legacy,
     inference_engine,
     intern,
-    interning_disabled,
-    legacy_inference,
 )
-from repro.algebra.inference import PREDICATES, PropertyInference
+from repro.algebra.inference import PropertyInference
+from repro.algebra.operators import _Compound, _Unary
 from repro.core import GMCAlgorithm
+from repro.kernels import default_catalog
+from repro.matching import Wildcard, match
 from repro.options import CompileOptions
 from repro.experiments.workload import ChainGenerator
+from reference_inference import (
+    fig6_inference,
+    has_property_legacy,
+    identity_interning,
+    infer_properties_legacy,
+)
 from test_property_based import generalized_chains
 
 _SETTINGS = settings(
@@ -41,11 +59,11 @@ _SETTINGS = settings(
 def _solve_uncached(reference_path, expression, options=None):
     """Solve *expression* on *reference_path* reusing no result the fast solve
     cached: the process-wide inference memo is dropped, and the match cache
-    (and with it the split-decision memo) is off, so every split walks the
-    discrimination net.
+    (and with it the split-decision memo) is off, so every split runs the
+    matcher.
 
     The intern table is left warm on purpose.  It caches no results, the
-    ``interning_disabled`` arm never reads it, and a table carried across
+    ``identity_interning`` arm never reads it, and a table carried across
     examples is what makes the fast solves canonicalize against equal nodes
     they did not create (a cold table would hide a broken rebuild).
     """
@@ -99,43 +117,27 @@ class TestPropertySetEquivalence:
         assert engine.misses == misses  # second call is a pure cache hit
         assert engine.hits > 0
 
-    def test_registered_predicate_is_respected(self):
-        # Register an extra predicate under a property that has no fused
-        # bottom-up rule: the engine must detect the registry mutation and
-        # honour the predicate without any manual cache clearing.
-        marker = Property.VECTOR
-        assert marker not in PREDICATES
-        weird = Matrix("weird", 3, 3)
-        before = infer_properties(weird)  # populate the memo first
-        assert marker not in before
-        PREDICATES[marker] = lambda expr: isinstance(expr, Matrix) and expr.name == "weird"
-        try:
-            assert marker in infer_properties_legacy(weird)
-            assert infer_properties(weird) == infer_properties_legacy(weird)
-        finally:
-            del PREDICATES[marker]
-        assert infer_properties(weird) == before
+    def test_every_compound_node_type_has_rules(self):
+        # The engine has rules for exactly the five operators and gives any
+        # other node an empty rule set, so a new operator type fails here
+        # until it has rules (and a Fig. 6 case).
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
 
-    def test_replacing_builtin_predicate_is_honoured(self):
-        # Replacing a built-in predicate must override the fused rules (and
-        # the leaf fast path) on the default inference path.
-        lower = Matrix("L", 4, 4, {Property.LOWER_TRIANGULAR, Property.NON_SINGULAR})
-        product = Times(lower, lower)
-        assert Property.LOWER_TRIANGULAR in infer_properties(product)
-        original = PREDICATES[Property.LOWER_TRIANGULAR]
-        PREDICATES[Property.LOWER_TRIANGULAR] = lambda expr: False
-        try:
-            assert infer_properties(product) == infer_properties_legacy(product)
-            assert Property.LOWER_TRIANGULAR not in infer_properties(product)
-            assert not has_property(product, Property.LOWER_TRIANGULAR)
-            assert not has_property(lower, Property.LOWER_TRIANGULAR)
-        finally:
-            PREDICATES[Property.LOWER_TRIANGULAR] = original
-        assert Property.LOWER_TRIANGULAR in infer_properties(product)
+        assert set(subclasses(_Compound)) - {_Unary} == {
+            Times, Plus, Transpose, Inverse, InverseTranspose,
+        }
+
+    def test_wildcard_leaf_satisfies_no_rule(self):
+        wildcard = Wildcard("X")
+        assert infer_properties(wildcard) == infer_properties_legacy(wildcard)
+        assert PropertyInference().raw_properties(wildcard) == frozenset()
 
 
 class TestSolverEquivalence:
-    @pytest.mark.parametrize("reference_path", [legacy_inference, interning_disabled])
+    @pytest.mark.parametrize("reference_path", [fig6_inference, identity_interning])
     @given(generalized_chains())
     @_SETTINGS
     def test_gmc_solution_identical_under_both_paths(self, reference_path, expression):
@@ -152,7 +154,7 @@ class TestSolverEquivalence:
     def test_exhaustive_solution_identical_under_both_paths(self, expression):
         exhaustive = CompileOptions(prune=False)
         fast = GMCAlgorithm(exhaustive).solve(expression)
-        legacy = _solve_uncached(legacy_inference, expression, exhaustive)
+        legacy = _solve_uncached(fig6_inference, expression, exhaustive)
         assert fast.computable == legacy.computable
         if legacy.computable:
             assert fast.optimal_cost == pytest.approx(legacy.optimal_cost)
@@ -164,7 +166,7 @@ class TestSolverEquivalence:
         c = Matrix("C", 6, 6, {Property.DIAGONAL, Property.NON_SINGULAR})
         chain = Times(a.I, b, c)
         fast = GMCAlgorithm().solve(chain)
-        legacy = _solve_uncached(legacy_inference, chain)
+        legacy = _solve_uncached(fig6_inference, chain)
         n = fast.length
         for i in range(n):
             for j in range(i + 1, n):
@@ -176,49 +178,86 @@ class TestSolverEquivalence:
                     assert fast_tmp.properties == legacy_tmp.properties, (i, j)
 
 
+def _match_each_pattern(catalog, subject):
+    """Every ``(kernel, substitution)`` whose pattern matches *subject* on
+    its own (:func:`repro.matching.patterns.match`)."""
+    for kernel in catalog:
+        substitution = match(kernel.pattern, subject)
+        if substitution is not None:
+            yield kernel, substitution
+
+
+@contextmanager
+def one_pattern_at_a_time() -> Iterator[None]:
+    """Answer the default catalog's net walks with :func:`_match_each_pattern`."""
+    catalog = default_catalog()
+
+    def reference_match(subject):
+        for kernel, substitution in _match_each_pattern(catalog, subject):
+            yield kernel.pattern, substitution, kernel
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(vars(catalog.net), "match", reference_match)
+        yield
+
+
+def _subjects(expression):
+    """The chain itself plus every product of two adjacent factors."""
+    factors = list(expression.children)
+    return [expression] + [
+        Times(left, right) for left, right in zip(factors, factors[1:])
+    ]
+
+
 class TestMatcherEquivalence:
-    """The optimized acceptance path (grouped entries, precomputed slot
-    metadata, wildcard-edge pruning) must report exactly the same matches as
-    the reference binding path kept from the original implementation."""
+    """The discrimination net (grouped entries, precomputed slot metadata,
+    wildcard-edge pruning) must report exactly the matches of matching each
+    kernel pattern on its own; the match cache must serve the same set."""
 
     @given(generalized_chains())
     @_SETTINGS
-    def test_catalog_matches_identical_under_both_binding_paths(self, expression):
-        from repro.kernels import default_catalog
-        from repro.matching import legacy_binding
-
+    def test_catalog_matches_equal_one_pattern_at_a_time(self, expression):
         catalog = default_catalog()
-        factors = list(expression.children)
-        subjects = [expression] + [
-            Times(left, right)
-            for left, right in zip(factors, factors[1:])
-        ]
-        for subject in subjects:
-            fast = {
+        for subject in _subjects(expression):
+            reference = {
                 (kernel.id, substitution)
-                for kernel, substitution in catalog.match(subject)
+                for kernel, substitution in _match_each_pattern(catalog, subject)
             }
-            with legacy_binding():
-                reference = {
+            for use_cache in (False, True):
+                net = {
                     (kernel.id, substitution)
                     for kernel, substitution in catalog.match(
-                        subject, use_cache=False
+                        subject, use_cache=use_cache
                     )
                 }
-            assert fast == reference, str(subject)
+                assert net == reference, (str(subject), use_cache)
 
     @given(generalized_chains())
     @_SETTINGS
-    def test_gmc_solution_identical_under_legacy_binding(self, expression):
-        from repro.matching import legacy_binding
-
+    def test_gmc_solution_identical_under_reference_matcher(self, expression):
         fast = GMCAlgorithm().solve(expression)
-        reference = _solve_uncached(legacy_binding, expression)
+        reference = _solve_uncached(one_pattern_at_a_time, expression)
         assert fast.computable == reference.computable
         if reference.computable:
             assert fast.optimal_cost == pytest.approx(reference.optimal_cost)
             assert fast.parenthesization() == reference.parenthesization()
             assert fast.kernel_sequence() == reference.kernel_sequence()
+
+    def test_reference_matcher_replaces_the_net_walk(self):
+        # The whole-solve arm above only means something if the solver's
+        # kernel lookups really go through the substituted matcher.
+        catalog = default_catalog()
+        chain = Times(Matrix("A", 6, 6, {Property.SPD}).I, Matrix("B", 6, 4))
+        subjects = []
+        with one_pattern_at_a_time():
+            reference_match = vars(catalog.net)["match"]
+            vars(catalog.net)["match"] = lambda subject: (
+                subjects.append(subject) or reference_match(subject)
+            )
+            solution = GMCAlgorithm(CompileOptions(match_cache=False)).solve(chain)
+        assert subjects
+        assert solution.kernel_sequence()
+        assert "match" not in vars(catalog.net)
 
 
 def test_default_engine_is_exposed():

@@ -11,7 +11,6 @@ import math
 import pytest
 
 from repro.algebra import Matrix, Property, Temporary, Times, Transpose, Vector
-from repro.algebra.inference import PREDICATES, is_lower_triangular
 from repro.core import GMCAlgorithm
 from repro.experiments.workload import ChainGenerator
 from repro.kernels.catalog import KernelCatalog, build_default_kernels, default_catalog
@@ -179,20 +178,6 @@ class TestMatchCacheInvalidation:
         catalog._net.add(extra.pattern, extra)
         names = {k.display_name for k, _ in catalog.match(Times(c, b))}
         assert "CUSTOMMM2" in names
-
-    def test_predicate_registry_mutation_never_serves_stale_kernels(self):
-        catalog = _fresh_catalog()
-        c, b = Matrix("C", 8, 8), Matrix("B", 8, 8)
-        names = {k.display_name for k, _ in catalog.match(Times(c, b))}
-        assert "TRMM" not in names  # C is not lower triangular
-        try:
-            PREDICATES[Property.LOWER_TRIANGULAR] = lambda expr: True
-            names = {k.display_name for k, _ in catalog.match(Times(c, b))}
-            assert "TRMM" in names
-        finally:
-            PREDICATES[Property.LOWER_TRIANGULAR] = is_lower_triangular
-        names = {k.display_name for k, _ in catalog.match(Times(c, b))}
-        assert "TRMM" not in names
 
     def test_opaque_constraints_bypass_the_cache(self):
         # A user constraint may observe what the signature abstracts away

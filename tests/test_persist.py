@@ -16,8 +16,7 @@ import urllib.request
 
 import pytest
 
-from repro.algebra import Matrix, Property, Times
-from repro.algebra.inference import PREDICATES, is_lower_triangular
+from repro.algebra import Matrix, Times
 from repro.cost import FlopCount
 from repro.experiments.workload import ChainGenerator
 from repro.frontend import Compiler
@@ -194,17 +193,6 @@ class TestPlanCacheInvalidation:
         assert session.plan_cache.hits == 0  # flushed, not served stale
         assert result.assignment("X").kernel_sequence  # still compiles
 
-    def test_predicate_registry_mutation_bypasses(self):
-        session = fresh_session()
-        session.compile(tagged("Reg"))
-        try:
-            PREDICATES[Property.LOWER_TRIANGULAR] = lambda expr: False
-            session.compile(tagged("Reg2"))
-            assert session.plan_cache.hits == 0
-            assert session.plan_cache.bypasses >= 1
-        finally:
-            PREDICATES[Property.LOWER_TRIANGULAR] = is_lower_triangular
-
     def test_live_metric_instances_bypass(self):
         session = fresh_session()
         metric = FlopCount()
@@ -361,16 +349,21 @@ class TestSnapshotRobustness:
         assert "drift" in result["reason"]
         assert len(session.plan_cache) == 0
 
-    def test_registry_version_drift_cold_boots(self, tmp_path):
-        state, _ = self._populated_state()
-        state = json.loads(json.dumps(state))  # deep copy
-        state["catalog"]["registry_version"] = 12345
+    def test_snapshot_with_registry_version_field_boots_warm(self, tmp_path):
+        # Snapshots written before the predicate registry was removed carry
+        # its version in the catalog block; the field is ignored now.
+        state, reference = self._populated_state()
+        state = json.loads(json.dumps(state))
+        assert "registry_version" not in state["catalog"]
+        state["catalog"]["registry_version"] = 0
         path = snapshot_path(tmp_path)
         write_snapshot(path, state)
         session = fresh_session()
         result = load_snapshot(path, session.plan_cache, session.catalog)
-        assert result["loaded"] is False
-        assert "registry_version" in result["reason"]
+        assert result["loaded"] is True, result
+        warm = session.compile(tagged("Compat")).assignment("X")
+        assert session.plan_cache.hits == 1
+        assert warm.kernel_sequence == reference
 
     def test_net_version_drift_cold_boots(self, tmp_path):
         state, _ = self._populated_state()

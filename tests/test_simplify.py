@@ -88,6 +88,25 @@ class TestProductNormalization:
         identity = IdentityMatrix(4)
         assert normalize(Times(identity, C)) == C
 
+    def test_transposed_and_inverted_identity_factors_are_dropped(self):
+        identity = IdentityMatrix(4)
+        expr = Times(A, Transpose(identity), Inverse(identity), C)
+        assert normalize(expr) == Times(A, C)
+
+    def test_normalize_does_not_grow_the_inference_memo(self):
+        # Requests arrive under fresh operand names; the declared-property
+        # checks of normalization must not memoize one entry per name.
+        from repro.algebra import inference_engine
+
+        before = inference_engine().stats()
+        for index in range(5):
+            sym = Matrix(f"Sym{index}", 4, 4, {Property.SYMMETRIC})
+            identity = IdentityMatrix(4)
+            normalize(Times(Transpose(sym), Inverse(identity), Transpose(C.T)))
+        after = inference_engine().stats()
+        assert after["size"] == before["size"]
+        assert after["inferred_size"] == before["inferred_size"]
+
     def test_mixed_unary_normalization(self):
         expr = Transpose(Times(Inverse(A), C))
         normalized = normalize(expr)
