@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exec import default_loader, plan_signature
+from repro.exec import plan_signature
 from repro.exec.api import ExecuteRequest, run_execute_request
 from repro.frontend import Compiler
 from repro.runtime.executor import Executor
@@ -52,8 +52,8 @@ def main() -> int:
         if line.startswith(("ENTRYPOINT", "ARGUMENTS", "RESULT")):
             print(f"  {line}")
 
-    # ------------------------------------------- load (cached) and run directly
-    loader = default_loader()
+    # ---------------------- load through the session's module cache and run it
+    loader = compiler.loader
     loaded = loader.load(source, plan_signature(result))
     environment = dict(random_environment(result, seed=7))
     value = loaded.run(environment)

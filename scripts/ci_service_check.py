@@ -29,7 +29,7 @@ worker pool), then drives the acceptance workload against it:
    check on any reference mismatch;
 7. **observability**: ``GET /metrics`` must return well-formed Prometheus
    text exposition carrying every cache-telemetry layer
-   (:data:`repro.telemetry.CACHE_LAYERS`), the pool gauges and the
+   (:data:`CACHE_LAYERS`), the pool gauges and the
    per-endpoint latency histograms (monotone cumulative buckets ending in
    ``le="+Inf"``), and every response must echo the client's
    ``X-Request-Id`` header (which also lands as the response body's
@@ -72,7 +72,19 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.frontend import compile_source  # noqa: E402
-from repro.telemetry import CACHE_LAYERS  # noqa: E402
+
+#: The ``caches`` layers of ``GET /stats`` (``perfbench/run.py`` reads them).
+CACHE_LAYERS = (
+    "plan_cache",
+    "match_cache",
+    "interner",
+    "inference",
+    "kernel_cost",
+    "solver",
+    "segments",
+    "execution",
+    "analytics",
+)
 
 #: One moderately rich chain structure; tagged copies are structurally
 #: similar (signature-equal), the workload the warm pool amortizes.
@@ -198,8 +210,8 @@ def execute_check(base: str) -> int:
     status, _, text = http_raw("GET", f"{base}/metrics")
     if status != 200 or "repro_execute_phase_seconds" not in text:
         return fail("/metrics is missing repro_execute_phase_seconds after /execute")
-    if "repro_execute_validation_failures 0" not in text:
-        return fail("/metrics is missing a zero validation-failure counter")
+    if 'repro_validation_failures{layer="execution"} 0' not in text:
+        return fail("/metrics is missing a zero execution-layer validation-failure gauge")
     print(
         f"execute tier: seeded (max rel error {seeded_error:.3g}), "
         f"explicit-payload and DAG runs all validated server-side"

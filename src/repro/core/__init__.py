@@ -29,10 +29,8 @@ from .gmc import GMCAlgorithm, GMCSolution, UncomputableChainError
 from .segments import (
     ChainSegment,
     SegmentPlan,
-    SegmentTelemetry,
     UncomputableSegmentError,
     decompose_program,
-    segment_telemetry,
 )
 from .mcp import (
     MatrixChainDP,
@@ -90,9 +88,7 @@ __all__ = [
     "UncomputableSegmentError",
     "ChainSegment",
     "SegmentPlan",
-    "SegmentTelemetry",
     "decompose_program",
-    "segment_telemetry",
     "MatrixChainDP",
     "matrix_chain_order",
     "memoized_matrix_chain",

@@ -52,7 +52,6 @@ Deviations from the pseudocode (the first three are discussed in the paper):
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -186,60 +185,6 @@ class WorkCounters:
         self.memo_misses = 0
 
 
-class SolverWorkTelemetry:
-    """Process-global accumulator behind the ``solver`` telemetry layer.
-
-    Follows the uniform ``stats()`` / ``reset_stats()`` protocol of the
-    cache layers (:mod:`repro.telemetry`), so solver work aggregates across
-    pool workers exactly like cache counters do.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.reset_stats()
-
-    def record(self, counters: WorkCounters) -> None:
-        with self._lock:
-            self.solves += 1
-            self.cells_evaluated += counters.cells_evaluated
-            self.cells_pruned += counters.cells_pruned
-            self.diagonals += counters.diagonals
-            self.hits += counters.memo_hits
-            self.misses += counters.memo_misses
-
-    def stats(self) -> Dict[str, object]:
-        # ``hits``/``misses`` are decision-memo lookups (the layer's only
-        # cache-like component); the remaining keys count raw solver work.
-        with self._lock:
-            total = self.hits + self.misses
-            return {
-                "layer": "solver",
-                "solves": self.solves,
-                "cells_evaluated": self.cells_evaluated,
-                "cells_pruned": self.cells_pruned,
-                "diagonals": self.diagonals,
-                "hits": self.hits,
-                "misses": self.misses,
-                "hit_rate": self.hits / total if total else 0.0,
-            }
-
-    def reset_stats(self) -> None:
-        self.solves = 0
-        self.cells_evaluated = 0
-        self.cells_pruned = 0
-        self.diagonals = 0
-        self.hits = 0
-        self.misses = 0
-
-
-_WORK_TELEMETRY = SolverWorkTelemetry()
-
-
-def solver_work_telemetry() -> SolverWorkTelemetry:
-    """The process-wide solver work accumulator (telemetry layer ``solver``)."""
-    return _WORK_TELEMETRY
-
-
 @dataclass
 class _CellChoice:
     """The kernel decision recorded for one DP cell."""
@@ -275,10 +220,14 @@ class GMCSolution:
     complete: bool = True
     #: Solver work counters (see :class:`WorkCounters`): DP cells whose
     #: split loop ran to completion, split candidates skipped by the
-    #: lower-bound prune, and anti-diagonals entered.
+    #: lower-bound prune, anti-diagonals entered and decision-memo
+    #: hits/misses.  A :class:`~repro.frontend.compiler.Compiler` session
+    #: sums them into its ``solver`` telemetry layer.
     cells_evaluated: int = 0
     cells_pruned: int = 0
     diagonals: int = 0
+    memo_hits: int = 0
+    memo_misses: int = 0
 
     # ------------------------------------------------------------------ info
     @property
@@ -506,7 +455,6 @@ class GMCAlgorithm:
         checker = DeadlineChecker(self.deadline_s)
         work = WorkCounters()
         complete = self._fill(factors, costs, splits, choices, tmps, checker, work)
-        solver_work_telemetry().record(work)
 
         return GMCSolution(
             factors=factors,
@@ -521,6 +469,8 @@ class GMCAlgorithm:
             cells_evaluated=work.cells_evaluated,
             cells_pruned=work.cells_pruned,
             diagonals=work.diagonals,
+            memo_hits=work.memo_hits,
+            memo_misses=work.memo_misses,
         )
 
     def _fill(self, factors, costs, splits, choices, tmps, checker, work) -> bool:

@@ -36,15 +36,13 @@ segment is solved independently, which is what lets every segment hit the
 session's plan cache on its own signature -- the amortization lever for
 structurally-sibling DAG traffic (Jacobian workloads).
 
-The process-global :class:`SegmentTelemetry` joins the uniform ``stats()``
-protocol (:mod:`repro.telemetry`, layer ``"segments"``): programs
-decomposed, segments produced, synthetic segments, CSE reuses, and the
-per-segment plan-cache hits/misses recorded by the compiler.
+A :class:`~repro.frontend.compiler.Compiler` session counts what each plan
+holds -- segments, synthetic segments, CSE reuses -- in its ``segments``
+telemetry layer (:mod:`repro.telemetry`).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -68,8 +66,6 @@ __all__ = [
     "SegmentPlan",
     "UncomputableSegmentError",
     "decompose_program",
-    "SegmentTelemetry",
-    "segment_telemetry",
 ]
 
 _UNARY_TYPES = (Transpose, Inverse, InverseTranspose)
@@ -328,82 +324,4 @@ def decompose_program(program: ParsedProgram) -> SegmentPlan:
     :class:`~repro.algebra.expression.ShapeError` exactly as they do from the
     expression constructors.
     """
-    plan = _Decomposer(program).run(program)
-    segment_telemetry().record_plan(plan)
-    return plan
-
-
-# ---------------------------------------------------------------------------
-# Telemetry (uniform stats protocol, layer "segments").
-# ---------------------------------------------------------------------------
-
-class SegmentTelemetry:
-    """Process-global counters of the DAG-decomposition pipeline.
-
-    ``hits``/``misses`` are *per-segment plan-cache* outcomes as recorded by
-    the compiler loop -- the plan-cache layer counts the same lookups from
-    the cache's side; this layer scopes them to segment traffic and adds the
-    decomposition shape counters (programs, segments, synthetic, CSE
-    reuses).  Thread-safe: service workers decompose concurrently.
-    """
-
-    layer = "segments"
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.programs = 0
-        self.segments = 0
-        self.synthetic = 0
-        self.cse_reuses = 0
-        self.hits = 0
-        self.misses = 0
-
-    def record_plan(self, plan: SegmentPlan) -> None:
-        with self._lock:
-            self.programs += 1
-            self.segments += len(plan.segments)
-            self.synthetic += plan.synthetic_count
-            self.cse_reuses += plan.cse_reuses
-
-    def record_lookup(self, hit: bool) -> None:
-        with self._lock:
-            if hit:
-                self.hits += 1
-            else:
-                self.misses += 1
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> dict:
-        """Plain-dict counters (uniform cache-stats protocol)."""
-        with self._lock:
-            return {
-                "layer": self.layer,
-                "programs": self.programs,
-                "segments": self.segments,
-                "synthetic": self.synthetic,
-                "cse_reuses": self.cse_reuses,
-                "hits": self.hits,
-                "misses": self.misses,
-                "hit_rate": self.hit_rate,
-            }
-
-    def reset_stats(self) -> None:
-        with self._lock:
-            self.programs = 0
-            self.segments = 0
-            self.synthetic = 0
-            self.cse_reuses = 0
-            self.hits = 0
-            self.misses = 0
-
-
-_TELEMETRY = SegmentTelemetry()
-
-
-def segment_telemetry() -> SegmentTelemetry:
-    """The process-global :class:`SegmentTelemetry` instance."""
-    return _TELEMETRY
+    return _Decomposer(program).run(program)

@@ -30,8 +30,6 @@ from .loader import (
     LoadedModule,
     ModuleLoader,
     ModuleRunError,
-    default_loader,
-    execution_telemetry,
 )
 
 __all__ = [
@@ -40,8 +38,6 @@ __all__ = [
     "LoadedModule",
     "ModuleLoader",
     "ModuleRunError",
-    "default_loader",
-    "execution_telemetry",
     "ExecuteRequest",
     "ExecuteResponse",
     "run_execute_request",

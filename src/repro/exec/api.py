@@ -34,7 +34,7 @@ from ..runtime.operands import random_environment
 from ..runtime.reference import evaluate as reference_evaluate
 from ..service.api import CompileRequest, RequestError
 from .emitter import plan_signature
-from .loader import ModuleLoader, default_loader, execution_telemetry
+from .loader import ModuleLoader
 
 __all__ = [
     "ENGINES",
@@ -293,25 +293,25 @@ def run_execute_request(
 ) -> ExecuteResponse:
     """Compile, emit, import, run and validate one execute request.
 
-    *compiler* is the executor's warm session (a throwaway one otherwise);
-    *loader* the module cache (the process-global default otherwise).
-    Never raises: failures fold into ``ok=False`` responses whose
-    ``phase`` names the failing stage.
+    *compiler* is the executor's warm session (a throwaway one, closed on
+    return, otherwise); *loader* the module cache (the session's
+    ``loader`` otherwise).  The session's ``execution`` telemetry layer
+    counts the run.  Never raises: failures fold into ``ok=False``
+    responses whose ``phase`` names the failing stage.
     """
     started = time.perf_counter()
     timing: Dict[str, float] = {}
-    telemetry = execution_telemetry()
+    session = compiler if compiler is not None else Compiler()
+    if loader is None:
+        loader = session.loader
+    counters = session.execution
     phase = "request"
     try:
         request.validate()
-        if compiler is None:
-            compiler = Compiler()
-        if loader is None:
-            loader = default_loader()
 
         phase = "compile"
         t0 = time.perf_counter()
-        result = compiler.compile(
+        result = session.compile(
             request.compile.to_source(), options=request.compile.options
         )
         if result.trace is not None:
@@ -344,10 +344,10 @@ def run_execute_request(
         try:
             value = loaded.run(environment)
         except Exception:
-            telemetry.record_run(ok=False)
+            counters.add(runs=1, run_errors=1)
             raise
         timing["run_s"] = time.perf_counter() - t0
-        telemetry.record_run(ok=True)
+        counters.add(runs=1)
 
         validated: Optional[bool] = None
         max_rel_error: Optional[float] = None
@@ -360,7 +360,7 @@ def run_execute_request(
             )
             timing["validate_s"] = time.perf_counter() - t0
             if not validated:
-                telemetry.record_validation_failure()
+                counters.add(validation_failures=1)
                 # Rate-limited: a client replaying a divergent request in
                 # a loop must not storm the log (the swallowed count rides
                 # on the next emitted line as suppressed_count).
@@ -416,3 +416,8 @@ def run_execute_request(
             worker=worker,
             timing=dict(timing, total_s=time.perf_counter() - started),
         )
+    finally:
+        if compiler is None:
+            # A throwaway session's modules would otherwise stay in
+            # sys.modules after the session is gone.
+            session.loader.close()

@@ -6,12 +6,14 @@ through :mod:`importlib` under a unique module name, and cached by **plan
 signature** -- repeat executions of a signature-equal plan skip emit and
 import entirely and go straight to the loaded entrypoint.
 
-This module deliberately imports nothing from the rest of ``repro`` (only
-the stdlib and NumPy): it is the bottom of the execution tier's import
-graph, which lets :mod:`repro.telemetry` report the ``execution`` layer
-without creating an import cycle, and keeps the loader reusable for any
-source text that follows the emitted-module protocol (module attributes
-``ENTRYPOINT``, ``ARGUMENTS``, ``RESULT``).
+Each :class:`~repro.frontend.compiler.Compiler` session owns one loader
+(``compiler.loader``) and reports its cache as part of the ``execution``
+telemetry layer.  This module deliberately imports nothing from the rest
+of ``repro`` (only the stdlib and NumPy): it is the bottom of the
+execution tier's import graph, which keeps the loader importable from the
+compiler session and reusable for any source text that follows the
+emitted-module protocol (module attributes ``ENTRYPOINT``, ``ARGUMENTS``,
+``RESULT``).
 """
 
 from __future__ import annotations
@@ -35,9 +37,6 @@ __all__ = [
     "ModuleRunError",
     "LoadedModule",
     "ModuleLoader",
-    "default_loader",
-    "ExecutionTelemetry",
-    "execution_telemetry",
 ]
 
 #: Default bound on cached loaded modules per loader.
@@ -247,92 +246,3 @@ def _remove_directory(path: str, owner_pid: int) -> None:
     # made the directory removes it.
     if os.getpid() == owner_pid:
         shutil.rmtree(path, ignore_errors=True)
-
-
-_DEFAULT_LOADER: Optional[ModuleLoader] = None
-_DEFAULT_LOADER_LOCK = threading.Lock()
-
-
-def default_loader() -> ModuleLoader:
-    """The process-global module loader (lazily created)."""
-    global _DEFAULT_LOADER
-    if _DEFAULT_LOADER is None:
-        with _DEFAULT_LOADER_LOCK:
-            if _DEFAULT_LOADER is None:
-                _DEFAULT_LOADER = ModuleLoader()
-    return _DEFAULT_LOADER
-
-
-def reset_default_loader() -> ModuleLoader:
-    """Replace the process-global loader with a fresh, empty one.
-
-    A forked pool worker calls this at boot: the loader it inherited holds
-    the parent's modules and temp directory, which the worker must neither
-    write into nor clean up.  The inherited loader is dropped, not closed
-    (its finalizer only removes the directory in the process that made it).
-    The lock is not taken: it may have been held by another thread of the
-    parent at fork time, and a booting worker runs one thread.
-    """
-    global _DEFAULT_LOADER
-    _DEFAULT_LOADER = ModuleLoader()
-    return _DEFAULT_LOADER
-
-
-class ExecutionTelemetry:
-    """Process-wide execution counters, merged with the loader cache stats.
-
-    Reported as the ``execution`` layer of :func:`repro.telemetry.snapshot`
-    (uniform ``stats()`` / ``reset_stats()`` protocol): the default
-    loader's module-cache hits/misses/evictions plus the run and
-    validation counters the execution API records.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.runs = 0
-        self.run_errors = 0
-        self.validation_failures = 0
-
-    def record_run(self, ok: bool = True) -> None:
-        with self._lock:
-            self.runs += 1
-            if not ok:
-                self.run_errors += 1
-
-    def record_validation_failure(self) -> None:
-        with self._lock:
-            self.validation_failures += 1
-
-    def stats(self) -> Dict[str, object]:
-        cache = default_loader().stats()
-        with self._lock:
-            counters = {
-                "runs": self.runs,
-                "run_errors": self.run_errors,
-                "validation_failures": self.validation_failures,
-            }
-        merged = {key: value for key, value in cache.items() if key != "layer"}
-        merged.update(counters)
-        merged["layer"] = "execution"
-        return merged
-
-    def reset_stats(self) -> None:
-        with self._lock:
-            self.runs = 0
-            self.run_errors = 0
-            self.validation_failures = 0
-        default_loader().reset_stats()
-
-
-_TELEMETRY: Optional[ExecutionTelemetry] = None
-_TELEMETRY_LOCK = threading.Lock()
-
-
-def execution_telemetry() -> ExecutionTelemetry:
-    """The process-global execution telemetry (lazily created)."""
-    global _TELEMETRY
-    if _TELEMETRY is None:
-        with _TELEMETRY_LOCK:
-            if _TELEMETRY is None:
-                _TELEMETRY = ExecutionTelemetry()
-    return _TELEMETRY

@@ -33,21 +33,20 @@ from typing import Dict, List, Optional, Sequence, Union
 from ..algebra.dsl import Program as ParsedProgram
 from ..algebra.dsl import parse_program
 from ..algebra.expression import Expression, Matrix
+from ..algebra.inference import inference_engine
+from ..algebra.interning import default_interner
 from ..codegen import available_emitters, get_emitter
-from ..core.gmc import GMCAlgorithm, UncomputableChainError, solver_work_telemetry
-from ..core.segments import (
-    UncomputableSegmentError,
-    decompose_program,
-    segment_telemetry,
-)
+from ..core.gmc import GMCAlgorithm, GMCSolution, UncomputableChainError
+from ..core.segments import UncomputableSegmentError, decompose_program
 from ..cost.metrics import CostMetric, resolve_metric
+from ..exec.loader import ModuleLoader
 from ..kernels.catalog import KernelCatalog
 from ..kernels.kernel import KernelCall, Program
+from ..obs.analytics import WorkloadAnalytics
 from ..obs.trace import Tracer
 from ..options import CompileOptions
 from ..persist.plan_cache import PlanCache
-from ..telemetry import reset as _telemetry_reset
-from ..telemetry import snapshot as _telemetry_snapshot
+from ..telemetry import Counters, combine
 
 
 @dataclass
@@ -296,11 +295,15 @@ _MAX_METRIC_INSTANCES = 16
 class Compiler:
     """A compilation session: one options value, warm caches, telemetry.
 
-    The session owns the kernel catalog and one live
-    :class:`~repro.cost.metrics.CostMetric` instance per metric name, so
-    every compilation through it shares the interner, the inference memo,
-    the signature-keyed match cache and the kernel-cost LRU -- exactly the
-    state a warm service worker keeps between requests.
+    The session owns the kernel catalog, one live
+    :class:`~repro.cost.metrics.CostMetric` instance per metric name (and
+    with it the kernel-cost LRU), the whole-plan cache, the execution
+    tier's module loader, the solver/segment/execution counters and the
+    workload analytics -- exactly the state a warm service worker keeps
+    between requests.  Every compilation through it also shares the
+    process-wide value caches: the interner, the inference memo and the
+    catalog's match cache.  :meth:`cache_stats` reports all of them as the
+    registry of telemetry layers :mod:`repro.telemetry` describes.
 
     Per-call options may override the session options (same catalog, fresh
     pipeline flags), which is how the service serves requests with differing
@@ -330,6 +333,39 @@ class Compiler:
         #: Whole-plan cache consulted before dispatching to a solver
         #: (:mod:`repro.persist`); bound to the session's catalog.
         self.plan_cache: PlanCache = PlanCache(self.catalog)
+        #: Emitted-module cache of the execution tier (:mod:`repro.exec`).
+        self.loader = ModuleLoader()
+        #: Served-request counters and compile-phase latency sketches,
+        #: recorded by :func:`repro.service.api.execute_request`.
+        self.analytics = WorkloadAnalytics()
+        self.solver_work = Counters(
+            "solver",
+            ("solves", "cells_evaluated", "cells_pruned", "diagonals", "hits", "misses"),
+        )
+        self.segment_work = Counters(
+            "segments",
+            ("programs", "segments", "synthetic", "cse_reuses", "hits", "misses"),
+        )
+        #: Runs recorded by :func:`repro.exec.api.run_execute_request`,
+        #: reported together with the loader's module-cache counters.
+        self.execution = Counters(
+            "execution", ("runs", "run_errors", "validation_failures")
+        )
+        #: The telemetry layers, in ``/stats`` order: ``(stats, reset)``.
+        self._layers = {
+            "plan_cache": (self.plan_cache.stats, self.plan_cache.reset_stats),
+            "match_cache": (
+                self.catalog.match_cache.stats,
+                self.catalog.match_cache.reset_stats,
+            ),
+            "interner": (default_interner().stats, default_interner().reset_stats),
+            "inference": (inference_engine().stats, inference_engine().reset_stats),
+            "kernel_cost": (self._kernel_cost_stats, self._reset_kernel_cost),
+            "solver": (self.solver_work.stats, self.solver_work.reset_stats),
+            "segments": (self.segment_work.stats, self.segment_work.reset_stats),
+            "execution": (self._execution_stats, self._reset_execution),
+            "analytics": (self.analytics.state, self.analytics.reset),
+        }
 
     # ----------------------------------------------------------- resolution
     def _effective_options(
@@ -394,8 +430,8 @@ class Compiler:
         self, options: Optional[CompileOptions] = None, **overrides
     ) -> GMCAlgorithm:
         """A GMC solver bound to the session's catalog and live metric
-        instance."""
-        return GMCAlgorithm(self._effective_options(options, overrides))
+        instance; the session's ``solver`` layer counts each of its solves."""
+        return _SessionSolver(self._effective_options(options, overrides), self)
 
     # ------------------------------------------------------------------ API
     def compile(
@@ -444,6 +480,12 @@ class Compiler:
             )
             tracer.begin("decompose")
         plan = decompose_program(program)
+        self.segment_work.add(
+            programs=1,
+            segments=len(plan.segments),
+            synthetic=plan.synthetic_count,
+            cse_reuses=plan.cse_reuses,
+        )
         if tracer is not None:
             tracer.end(
                 segments=len(plan.segments),
@@ -454,7 +496,6 @@ class Compiler:
             operands=dict(program.operands), options=effective
         )
         use_plan_cache = requested.plan_cache
-        telemetry = segment_telemetry()
         match_cache = self.catalog.match_cache
         solver = None  # built on the first plan-cache miss
         for seg in plan:
@@ -470,7 +511,6 @@ class Compiler:
                 )
                 match_hits0 = match_cache.hits
                 match_misses0 = match_cache.misses
-                memo_hits0 = solver_work_telemetry().stats().get("hits", 0)
             if use_plan_cache:
                 started = time.perf_counter()
                 if tracer is not None:
@@ -491,10 +531,13 @@ class Compiler:
                     # Trivial (single-factor) segments register a cache
                     # bypass above but are not segment traffic: nothing is
                     # solved, so they would dilute the segment hit rate.
-                    telemetry.record_lookup(solution is not None)
+                    if solution is None:
+                        self.segment_work.add(misses=1)
+                    else:
+                        self.segment_work.add(hits=1)
             if solution is None:
                 if solver is None:
-                    solver = GMCAlgorithm(effective)
+                    solver = _SessionSolver(effective, self)
                     if tracer is not None:
                         # The solver's ``tracer`` handle defaults to None;
                         # sharing this tracer nests its per-solve spans
@@ -540,9 +583,7 @@ class Compiler:
                     provenance=provenance,
                     match_cache_hits=match_cache.hits - match_hits0,
                     match_cache_misses=match_cache.misses - match_misses0,
-                    decision_memo_hits=(
-                        solver_work_telemetry().stats().get("hits", 0) - memo_hits0
-                    ),
+                    decision_memo_hits=getattr(solution, "memo_hits", 0),
                     flops=kernel_program.total_flops,
                 )
         if tracer is not None:
@@ -581,16 +622,60 @@ class Compiler:
 
     # ------------------------------------------------------------ telemetry
     def cache_stats(self) -> Dict[str, dict]:
-        """Per-layer cache counters of this session (uniform stats protocol:
-        plan cache, match cache, interner, inference memo, kernel-cost
-        LRUs)."""
-        return _telemetry_snapshot(
-            self.catalog, self._metrics, plan_cache=self.plan_cache
-        )
+        """The counters of every telemetry layer the session registers,
+        keyed by layer name (the ``caches`` object of ``GET /stats``)."""
+        return {layer: stats() for layer, (stats, _) in self._layers.items()}
 
     def reset_cache_stats(self) -> None:
-        """Zero every cache counter the session can see."""
-        _telemetry_reset(self.catalog, self._metrics, plan_cache=self.plan_cache)
+        """Zero every layer's counters (cache entries stay warm)."""
+        for _, reset in self._layers.values():
+            reset()
+
+    def _kernel_cost_stats(self) -> dict:
+        """The live metrics' kernel-cost memos summed into one layer, with
+        a breakdown keyed by the metric cache key (two instances of one
+        metric under different ``cost_cache_size`` settings stay apart)."""
+        metrics = list(self._metrics.items())
+        per_metric = [metric.stats() for _, metric in metrics]
+        layer = combine(per_metric, "kernel_cost")
+        layer["per_metric"] = {
+            str(key): {name: value for name, value in entry.items() if name != "metric"}
+            for (key, _), entry in zip(metrics, per_metric)
+        }
+        return layer
+
+    def _reset_kernel_cost(self) -> None:
+        for metric in self._metrics.values():
+            metric.reset_stats()
+
+    def _execution_stats(self) -> dict:
+        """The module loader's cache counters with the session's runs."""
+        return combine([self.loader.stats(), self.execution.stats()], "execution")
+
+    def _reset_execution(self) -> None:
+        self.loader.reset_stats()
+        self.execution.reset_stats()
+
+
+class _SessionSolver(GMCAlgorithm):
+    """A GMC solver that adds the work counters of each solution it returns
+    to its session's ``solver`` layer."""
+
+    def __init__(self, options: CompileOptions, session: Compiler) -> None:
+        super().__init__(options)
+        self._session_work = session.solver_work
+
+    def solve(self, chain) -> GMCSolution:
+        solution = super().solve(chain)
+        self._session_work.add(
+            solves=1,
+            cells_evaluated=solution.cells_evaluated,
+            cells_pruned=solution.cells_pruned,
+            diagonals=solution.diagonals,
+            hits=solution.memo_hits,
+            misses=solution.memo_misses,
+        )
+        return solution
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ Five stdlib-only modules, threaded through every layer of the pipeline:
 * :mod:`repro.obs.trace` -- opt-in span trees for one compilation
   (``CompileOptions(trace=True)``), exportable as raw JSON or Chrome
   trace-event JSON (Perfetto-loadable), tagged with the service request id;
-* :mod:`repro.obs.metrics` -- counters, sketch-backed latency histograms
+* :mod:`repro.obs.metrics` -- sketch-backed latency histograms
   and the Prometheus text exposition behind ``GET /metrics``;
 * :mod:`repro.obs.analytics` -- request/plan-hit counters and mergeable
   DDSketch-style latency quantile sketches over service traffic
@@ -27,7 +27,6 @@ from .analytics import (
     QuantileSketch,
     WorkloadAnalytics,
     merge_analytics_states,
-    workload_analytics,
 )
 from .explain import explain_execution, explain_result, provenance_of
 from .logging import (
@@ -39,17 +38,13 @@ from .logging import (
 )
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
-    Counter,
     MetricsRegistry,
     render_prometheus,
     render_quantile_lines,
-    reset_service_metrics,
-    service_metrics,
 )
 from .trace import Span, Tracer
 
 __all__ = [
-    "Counter",
     "DEFAULT_LATENCY_BUCKETS",
     "JsonFormatter",
     "MetricsRegistry",
@@ -67,7 +62,4 @@ __all__ = [
     "provenance_of",
     "render_prometheus",
     "render_quantile_lines",
-    "reset_service_metrics",
-    "service_metrics",
-    "workload_analytics",
 ]

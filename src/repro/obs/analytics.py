@@ -9,12 +9,13 @@ store of the HTTP tier (:class:`repro.obs.metrics.MetricsRegistry`), whose
 ``/metrics`` histograms are rendered from it.
 
 :class:`WorkloadAnalytics` bundles the request/plan-hit counters and
-per-label quantile sketches behind a lock; the process-global
-:func:`workload_analytics` instance is the worker-side view, recorded at
-``execute_request`` time and shipped inside the telemetry snapshot as the
-``analytics`` layer.  Pool workers' states merge sketch-wise through
-:func:`merge_analytics_states` (the :func:`repro.telemetry.aggregate`
-hook), exactly like :mod:`repro.persist.snapshot` merges cache state.
+per-label quantile sketches behind a lock; each
+:class:`~repro.frontend.compiler.Compiler` session owns one
+(``compiler.analytics``), recorded at ``execute_request`` time and
+reported as the session's ``analytics`` telemetry layer.  Pool workers'
+states merge sketch-wise through :func:`merge_analytics_states` (the
+:func:`repro.telemetry.aggregate` hook), exactly like
+:mod:`repro.persist.snapshot` merges cache state.
 
 The layer is always on and cheap (two counters and a ``log`` per phase
 sample); its cost sits inside the end-to-end bounds of the ``perfbench/``
@@ -30,7 +31,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 __all__ = [
     "QuantileSketch",
     "WorkloadAnalytics",
-    "workload_analytics",
     "merge_analytics_states",
 ]
 
@@ -179,7 +179,7 @@ class QuantileSketch:
 # ---------------------------------------------------------------------------
 
 class WorkloadAnalytics:
-    """One process's workload-analytics state: request and plan-hit
+    """One session's workload-analytics state: request and plan-hit
     counters plus latency quantile sketches keyed by ``(metric name, label
     key, label value)``.  Thread-safe; serializes to one plain ``state()``
     dict whose numeric top-level keys double as ``/metrics`` gauges for the
@@ -272,27 +272,25 @@ class WorkloadAnalytics:
                 sketch.merge(entry["sketch"])
 
     def reset(self) -> None:
-        """Drop every sketch (the analytics half of ``telemetry.reset``)."""
+        """Drop every counter and sketch."""
         with self._lock:
             self._latency = {}
             self.requests = 0
             self.plan_hits = 0
 
 
-#: Worker-side analytics: request counters + compile-phase latencies,
-#: recorded by ``execute_request`` and shipped inside
-#: ``telemetry.snapshot()``.
+# ``perfbench/replay.py`` times the recording against these two; no
+# session reads them.  Both go away with ROADMAP item 8.
 _WORKLOAD = WorkloadAnalytics()
 
 
 def workload_analytics() -> WorkloadAnalytics:
-    """The process-global worker-side analytics instance."""
+    """A detached analytics instance that no session reports."""
     return _WORKLOAD
 
 
 def analytics_enabled() -> bool:
-    """Always ``True``: recording has no off switch.  Kept only because
-    ``perfbench/replay.py`` reads it; goes away with ROADMAP item 8."""
+    """Always ``True``: recording has no off switch."""
     return True
 
 

@@ -1,4 +1,4 @@
-"""Stdlib-only service metrics: counters, latency sketches, Prometheus text.
+"""Stdlib-only service metrics: latency sketches and Prometheus text.
 
 The service's ``GET /metrics`` endpoint renders these sources in the
 Prometheus text exposition format (version 0.0.4):
@@ -27,12 +27,9 @@ from .analytics import QuantileSketch, merge_analytics_states
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
-    "Counter",
     "MetricsRegistry",
     "render_prometheus",
     "render_quantile_lines",
-    "service_metrics",
-    "reset_service_metrics",
 ]
 
 #: Default latency bucket upper bounds, in seconds.  Chain solves span
@@ -104,46 +101,14 @@ def format_value(value: float) -> str:
     return repr(as_float)
 
 
-class Counter:
-    """A monotonically increasing counter (thread-safe)."""
-
-    __slots__ = ("name", "help", "_lock", "_values")
-
-    def __init__(self, name: str, help_text: str = "") -> None:
-        self.name = sanitize_metric_name(name)
-        self.help = help_text
-        self._lock = threading.Lock()
-        self._values: Dict[Tuple[Tuple[str, str], ...], float] = {}
-
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        key = tuple(sorted((k, str(v)) for k, v in labels.items()))
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labels: str) -> float:
-        key = tuple(sorted((k, str(v)) for k, v in labels.items()))
-        with self._lock:
-            return self._values.get(key, 0.0)
-
-    def render(self) -> List[str]:
-        with self._lock:
-            items = sorted(self._values.items())
-        lines = [
-            f"# HELP {self.name} {self.help}" if self.help else f"# HELP {self.name}",
-            f"# TYPE {self.name} counter",
-        ]
-        for key, value in items:
-            lines.append(f"{self.name}{format_labels(dict(key))} {format_value(value)}")
-        return lines
-
-
 _LabelKey = Tuple[Tuple[str, str], ...]
 
 
 class MetricsRegistry:
-    """Process-local registry of counters and labelled latency sketches.
+    """Registry of labelled latency sketches.
 
-    The HTTP tier records each request once, through :meth:`observe`, into
+    Each :class:`~repro.service.http.ServiceHTTPServer` owns one
+    (``server.metrics``).  The HTTP tier records each request once, through :meth:`observe`, into
     ``repro_request_latency_seconds{endpoint=...,method=...}``; the
     ``/metrics`` renderer reads the sketches back as histograms
     (:meth:`render`) and as quantile series (:meth:`latency_entries`).
@@ -153,15 +118,6 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._sketches: Dict[Tuple[str, _LabelKey], QuantileSketch] = {}
         self._help: Dict[str, str] = {}
-        self._counters: Dict[str, Counter] = {}
-
-    def counter(self, name: str, help_text: str = "") -> Counter:
-        name = sanitize_metric_name(name)
-        with self._lock:
-            counter = self._counters.get(name)
-            if counter is None:
-                counter = self._counters[name] = Counter(name, help_text)
-        return counter
 
     def observe(
         self, name: str, seconds: float, help_text: str = "", **labels: str
@@ -212,15 +168,12 @@ class MetricsRegistry:
         ]
 
     def render(self) -> List[str]:
-        """Exposition lines: every counter, then every latency sketch as a
-        histogram with cumulative counts at :data:`DEFAULT_LATENCY_BUCKETS`
-        (grouped per metric)."""
+        """Exposition lines: every latency sketch as a histogram with
+        cumulative counts at :data:`DEFAULT_LATENCY_BUCKETS` (grouped per
+        metric)."""
         with self._lock:
             help_texts = dict(self._help)
-            counters = sorted(self._counters.items())
         lines: List[str] = []
-        for _, counter in counters:
-            lines.extend(counter.render())
         by_name: Dict[str, List[Tuple[_LabelKey, QuantileSketch]]] = {}
         for name, label_key, sketch in self._snapshot():
             by_name.setdefault(name, []).append((label_key, sketch))
@@ -244,34 +197,6 @@ class MetricsRegistry:
                 )
                 lines.append(f"{name}_count{format_labels(labels)} {sketch.count}")
         return lines
-
-    def reset(self) -> None:
-        with self._lock:
-            self._sketches.clear()
-            self._counters.clear()
-            self._help.clear()
-
-
-# The process-global registry the HTTP tier records into.  One per process
-# is the right scope: the HTTP server (and its latency) lives in the front
-# process regardless of how many worker processes sit behind it.
-_SERVICE_METRICS: Optional[MetricsRegistry] = None
-_SERVICE_METRICS_LOCK = threading.Lock()
-
-
-def service_metrics() -> MetricsRegistry:
-    """The process-global registry of service metrics (lazily created)."""
-    global _SERVICE_METRICS
-    if _SERVICE_METRICS is None:
-        with _SERVICE_METRICS_LOCK:
-            if _SERVICE_METRICS is None:
-                _SERVICE_METRICS = MetricsRegistry()
-    return _SERVICE_METRICS
-
-
-def reset_service_metrics() -> None:
-    """Drop all recorded service metrics (test isolation)."""
-    service_metrics().reset()
 
 
 def _telemetry_lines(

@@ -18,9 +18,9 @@ long-running, concurrent service:
   standalone-module emitter, module loader/cache, and the
   :class:`~repro.exec.api.ExecuteRequest` /
   :class:`~repro.exec.api.ExecuteResponse` wire model;
-* :mod:`repro.telemetry` -- unified snapshot/aggregation of the five cache
-  layers (plan cache, match cache, interner, inference memo, kernel-cost
-  LRU); it has no service dependencies and lives at the package root;
+* :mod:`repro.telemetry` -- the counter type of the session's telemetry
+  layers and the pooling of per-worker ``/stats`` snapshots; it has no
+  service dependencies and lives at the package root;
 * :mod:`repro.persist` -- plan-cache/match-cache snapshots backing warm
   worker boot (``--snapshot-dir`` / ``POST /snapshot``).
 """

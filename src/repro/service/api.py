@@ -38,7 +38,6 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from ..algebra.dsl import parse_program
 from ..algebra.expression import signature_repr
 from ..frontend.compiler import Compiler
-from ..obs.analytics import workload_analytics
 from ..options import CompileOptions
 
 __all__ = [
@@ -328,7 +327,7 @@ def execute_request(
             or not entry.program.calls
             for entry in compiled
         )
-        analytics = workload_analytics()
+        analytics = compiler.analytics
         analytics.record_request(plan_hit=plan_hit)
         analytics.observe_latencies(
             "compile_phase_latency_seconds",

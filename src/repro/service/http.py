@@ -27,9 +27,10 @@ Endpoints (all JSON):
     :class:`~repro.exec.api.ExecuteResponse` dict on success; 400 with the
     full ``ok=False`` response (its ``phase`` names the failing stage) on
     compile/run/validation failure.  Per-phase latencies land in the
-    ``repro_execute_phase_seconds`` sketch on ``/metrics``; validation
-    failures increment ``repro_execute_validation_failures`` and emit one
-    structured warning line.
+    ``repro_execute_phase_seconds`` sketch on ``/metrics``; a validation
+    failure counts once, in the ``execution`` layer's
+    ``repro_validation_failures{layer="execution"}`` gauge, and logs one
+    structured warning line (``repro.exec.api``).
 ``POST /snapshot``
     persist the executor's cache state (plan cache + match cache) to the
     configured ``--snapshot-dir`` (:mod:`repro.persist.snapshot`); 200 with
@@ -77,8 +78,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 from urllib.parse import urlparse
 
-from ..obs.logging import get_logger, log_rate_limited
-from ..obs.metrics import render_prometheus, render_quantile_lines, service_metrics
+from ..obs.logging import get_logger
+from ..obs.metrics import MetricsRegistry, render_prometheus, render_quantile_lines
 from .api import CompileRequest, RequestError
 from .pool import PoolSaturatedError
 
@@ -112,9 +113,8 @@ _QUANTILE_SERIES = (
 _LOG = get_logger("service.http")
 
 
-def _http_latency_state() -> dict:
+def _http_latency_state(metrics: MetricsRegistry) -> dict:
     """The HTTP tier's latency sketches in the analytics-state shape."""
-    metrics = service_metrics()
     return {
         "latency": [
             entry
@@ -125,7 +125,11 @@ def _http_latency_state() -> dict:
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one executor."""
+    """A threading HTTP server bound to one executor.
+
+    ``metrics`` holds the server's request-latency and execute-phase
+    sketches (the HTTP tier's half of ``GET /metrics``).
+    """
 
     daemon_threads = True
     allow_reuse_address = True
@@ -133,6 +137,7 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     def __init__(self, address: Tuple[str, int], executor) -> None:
         super().__init__(address, _ServiceRequestHandler)
         self.executor = executor
+        self.metrics = MetricsRegistry()
 
 
 class _ServiceRequestHandler(BaseHTTPRequestHandler):
@@ -219,7 +224,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         finally:
             elapsed = time.perf_counter() - started
             endpoint = path if path in _KNOWN_ENDPOINTS else "other"
-            service_metrics().observe(
+            self.server.metrics.observe(
                 "repro_request_latency_seconds",
                 elapsed,
                 help_text="HTTP request latency by endpoint, in seconds",
@@ -265,50 +270,28 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                 gauges[f"pool_{key}"] = value
         body = render_prometheus(
             cache_layers=stats.get("caches") or {},
-            registry=service_metrics(),
+            registry=self.server.metrics,
             extra_gauges=gauges,
         )
         # Quantile gauges use metric names of their own, so appending
         # keeps every metric's samples contiguous as the format requires.
         return body + render_quantile_lines(
-            [(stats.get("caches") or {}).get("analytics"), _http_latency_state()]
+            [
+                (stats.get("caches") or {}).get("analytics"),
+                _http_latency_state(self.server.metrics),
+            ]
         )
 
     def _observe_execution(self, response) -> None:
-        """Per-phase latency sketches and validation-failure accounting
-        for one ``/execute`` response."""
-        metrics = service_metrics()
+        """Per-phase latency sketches of one ``/execute`` response."""
         for key, elapsed in (response.timing or {}).items():
-            if not key.endswith("_s"):
-                continue
-            metrics.observe(
-                "repro_execute_phase_seconds",
-                elapsed,
-                help_text="POST /execute latency by phase, in seconds",
-                phase=key[:-2],
-            )
-        # Touched on every execute (not just failures) so the exposition
-        # shows an explicit zero sample before the first divergence.
-        failures = metrics.counter(
-            "repro_execute_validation_failures",
-            help_text="Executions whose result diverged from the reference",
-        )
-        failures.inc(0.0)
-        if response.validated is False:
-            failures.inc()
-            # Token-bucket suppressed: a replayed divergent request must
-            # not emit one warning line per request.
-            log_rate_limited(
-                _LOG,
-                "warning",
-                "execute validation failed",
-                key="http-execute-validation",
-                request_id=response.request_id,
-                engine=response.engine,
-                max_rel_error=response.max_rel_error,
-                worker=response.worker,
-                error=response.error,
-            )
+            if key.endswith("_s"):
+                self.server.metrics.observe(
+                    "repro_execute_phase_seconds",
+                    elapsed,
+                    help_text="POST /execute latency by phase, in seconds",
+                    phase=key[:-2],
+                )
 
     def _handle_post(self, path: str) -> None:
         executor = self.server.executor

@@ -61,7 +61,6 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from ..exec.loader import default_loader, reset_default_loader
 from ..frontend.compiler import Compiler
 from ..obs.logging import get_logger
 from ..kernels.catalog import KernelCatalog
@@ -292,6 +291,9 @@ class InProcessExecutor:
                 )
             else:
                 _log_snapshot_save(meta)
+        # Evict the session's emitted modules from ``sys.modules`` and remove
+        # their directory.
+        self.compiler.loader.close()
 
     def __enter__(self) -> "InProcessExecutor":
         return self
@@ -308,9 +310,10 @@ def _worker_main(worker_id: int, inbox, outbox, snapshot_file=None) -> None:
     """Serve requests until shutdown; every cache stays warm in between.
 
     Each worker holds one :class:`~repro.frontend.compiler.Compiler`
-    session: the session owns the catalog and the per-metric cost LRUs, and
-    with them every cache layer that makes repeated structurally similar
-    requests cheap.  With a *snapshot_file*, the worker boots warm by
+    session, built after the fork: the session owns the catalog, the
+    per-metric cost LRUs, the plan cache, the module loader and every
+    counter its ``stats`` report, so nothing of the parent's session state
+    is inherited.  With a *snapshot_file*, the worker boots warm by
     loading the plan-cache/match-cache snapshot into the fresh session
     (stale/corrupt snapshots boot cold, reported via ``stats``).  Messages
     are ``(kind, token, payload)`` tuples; every message except
@@ -321,13 +324,11 @@ def _worker_main(worker_id: int, inbox, outbox, snapshot_file=None) -> None:
     already runs one process per core, and NumPy's and SciPy's separate
     OpenBLAS thread pools otherwise spin against each other on plans that
     interleave products with solves (:mod:`repro.runtime.blas_threads`).
-    A forked worker also starts with copies of the parent's process-global
-    state, so it then takes a module loader of its own (shutdown must not
-    unlink the parent's module files) and zeroes the inherited counters, so
-    its stats count only the requests it served.
+    The process-wide value caches (interner, inference memo, match cache)
+    do come over from the parent, warm; their counters are zeroed, so the
+    worker's stats count only the requests it served.
     """
     limit_blas_threads()
-    reset_default_loader()
     compiler = Compiler()
     compiler.reset_cache_stats()
     snapshot_load = None
@@ -343,7 +344,7 @@ def _worker_main(worker_id: int, inbox, outbox, snapshot_file=None) -> None:
         if kind == "shutdown":
             # The worker leaves through os._exit, so neither atexit nor
             # weakref finalizers would remove the loader's temp directory.
-            default_loader().close()
+            compiler.loader.close()
             break
         if kind == "crash":  # test hook: simulate a hard worker death
             os._exit(17)
@@ -790,7 +791,11 @@ class WorkerPool:
             for entry in per_worker
             if isinstance(entry, dict) and "caches" in entry
         ]
-        pooled = telemetry.aggregate([entry["caches"] for entry in usable])
+        # A fresh session names the layers, so the ``caches`` layout stays
+        # the same when no worker answers.
+        pooled = telemetry.aggregate(
+            [entry["caches"] for entry in usable], layers=Compiler().cache_stats()
+        )
         snapshots = [entry.get("snapshot") for entry in usable]
         loaded = [snap for snap in snapshots if snap and snap.get("loaded")]
         return {

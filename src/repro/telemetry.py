@@ -1,218 +1,116 @@
-"""Unified cache telemetry: snapshot, reset and aggregate every cache layer.
+"""Telemetry layers: the uniform stats protocol, one counter type, pooling.
 
-The compilation pipeline owns five caches plus the solver work counters,
-each of which exposes the uniform ``stats()`` / ``reset_stats()`` protocol
-(plain dicts with ``size``, ``max_entries``, ``hits``, ``misses``,
-``hit_rate`` and ``evictions`` for the caches):
+A :class:`~repro.frontend.compiler.Compiler` session keeps a registry of
+nine telemetry layers and reports them in this order as the ``caches``
+object of ``GET /stats`` (:meth:`Compiler.cache_stats`):
 
-* the **plan cache** of a compiler session
-  (:class:`repro.persist.plan_cache.PlanCache`) -- signature-keyed whole
-  solved plans, consulted before the dynamic program runs;
-* the **match cache** of a kernel catalog
-  (:class:`repro.matching.match_cache.MatchCache`) -- signature-keyed
-  kernel-match results;
-* the **expression interner**
-  (:class:`repro.algebra.interning.ExpressionInterner`) -- hash-consing
-  table occupancy;
-* the **inference memo**
-  (:class:`repro.algebra.inference.PropertyInference`) -- memoized property
-  sets;
-* the **kernel-cost LRU** (:meth:`repro.cost.metrics.CostMetric.stats`) --
-  memoized per-kernel cost evaluations, one memo per live metric instance;
-* the **solver work counters**
-  (:class:`repro.core.gmc.SolverWorkTelemetry`) -- DP cells
-  evaluated, split candidates pruned, anti-diagonals entered and
-  decision-memo hits/misses, summed over every solve the process ran;
-* the **segment counters**
-  (:class:`repro.core.segments.SegmentTelemetry`) -- DAG programs
-  decomposed, chain segments produced, synthetic segments, CSE reuses and
-  the per-segment plan-cache hits/misses recorded by the compiler loop;
-* the **execution counters**
-  (:class:`repro.exec.loader.ExecutionTelemetry`) -- emitted-module cache
-  occupancy/hits of the execution tier plus the runs, run errors and
-  numerical-validation failures recorded by ``POST /execute``;
-* the **workload analytics** layer
-  (:class:`repro.obs.analytics.WorkloadAnalytics`) -- served-request and
-  plan-hit counters plus mergeable compile-phase latency quantile
-  sketches.  Unlike the counter layers this one aggregates by *sketch
-  merging* (:func:`repro.obs.analytics.merge_analytics_states`), not by
-  summing, so pool workers ship their sketch state through the same
-  ``stats`` message and ``/metrics`` renders fleet-wide quantiles.
+* ``plan_cache`` -- the session's whole-plan cache
+  (:class:`repro.persist.plan_cache.PlanCache`);
+* ``match_cache`` -- the kernel catalog's signature-keyed match cache
+  (:class:`repro.matching.match_cache.MatchCache`);
+* ``interner`` -- the expression hash-consing table
+  (:class:`repro.algebra.interning.ExpressionInterner`);
+* ``inference`` -- the property-inference memo
+  (:class:`repro.algebra.inference.PropertyInference`);
+* ``kernel_cost`` -- the per-kernel cost memos of the session's live
+  metric instances, summed, with a ``per_metric`` breakdown;
+* ``solver`` -- DP cells evaluated, split candidates pruned,
+  anti-diagonals entered and decision-memo hits/misses of every solve
+  the session ran;
+* ``segments`` -- programs decomposed, chain segments, synthetic
+  segments, CSE reuses and per-segment plan-cache hits/misses;
+* ``execution`` -- the session's module-loader cache plus the runs, run
+  errors and numerical-validation failures of ``POST /execute``;
+* ``analytics`` -- served-request and plan-hit counters plus mergeable
+  compile-phase latency sketches
+  (:class:`repro.obs.analytics.WorkloadAnalytics`).
 
-This module never mutates pipeline state beyond ``reset_stats``; it only
-*reads* the counters the layers maintain themselves, so the service layer
-stays import-light and the cache layers stay service-agnostic.
+The interner, the inference memo and the default catalog's match cache
+are value caches shared by the process (their answers do not depend on
+the session); the session registers them by reference.  Every other layer
+is owned by the session, so two sessions never share a counter.
 
-:func:`snapshot` collects one process's view; :func:`aggregate` pools the
-snapshots of many workers into fleet-wide counters with recomputed hit
-rates (rates are recomputed from pooled hits/misses, never averaged, so a
-busy worker weighs proportionally to its traffic).
+Each layer answers ``stats()`` (a plain dict: ``layer``, its counters and
+``hit_rate``) and ``reset_stats()``.  :class:`Counters` is the one counter
+type of the ``solver``, ``segments`` and ``execution`` layers.
+:func:`aggregate` pools the snapshots of many pool workers into fleet-wide
+counters: numeric keys sum and ``hit_rate`` is recomputed from the pooled
+hits/misses (never averaged, so a busy worker weighs by its traffic); the
+``analytics`` layer merges sketch-wise instead.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+import threading
+from typing import Dict, Iterable, Mapping, Sequence
 
-from .algebra.inference import inference_engine
-from .algebra.interning import default_interner
-from .core.gmc import solver_work_telemetry
-from .core.segments import segment_telemetry
-from .cost.metrics import CostMetric
-from .kernels.catalog import KernelCatalog, default_catalog
+from .obs.analytics import merge_analytics_states
 
-__all__ = ["CACHE_LAYERS", "snapshot", "reset", "aggregate"]
-
-#: The telemetry layers every snapshot reports, in display order.
-CACHE_LAYERS = (
-    "plan_cache",
-    "match_cache",
-    "interner",
-    "inference",
-    "kernel_cost",
-    "solver",
-    "segments",
-    "execution",
-    "analytics",
-)
-
-#: Counter keys that add up across workers / metric instances.
-_SUMMED_KEYS = (
-    "size",
-    "max_entries",
-    "hits",
-    "misses",
-    "evictions",
-    "bypasses",
-    "stores",
-    "restored",
-    "solves",
-    "cells_evaluated",
-    "cells_pruned",
-    "diagonals",
-    "programs",
-    "segments",
-    "synthetic",
-    "cse_reuses",
-    "runs",
-    "run_errors",
-    "validation_failures",
-)
+__all__ = ["Counters", "aggregate"]
 
 
-def _combine(stats: Sequence[Mapping], layer: str) -> Dict[str, object]:
-    """Pool several same-layer counter dicts into one (summing counters)."""
+def _with_hit_rate(stats: Dict[str, object]) -> Dict[str, object]:
+    hits = stats.get("hits", 0)
+    total = hits + stats.get("misses", 0)  # type: ignore[operator]
+    stats["hit_rate"] = hits / total if total else 0.0  # type: ignore[operator]
+    return stats
+
+
+class Counters:
+    """Named integer counters of one telemetry layer (thread-safe)."""
+
+    def __init__(self, layer: str, names: Sequence[str]) -> None:
+        self.layer = layer
+        self._lock = threading.Lock()
+        self._values = dict.fromkeys(names, 0)
+
+    def add(self, **amounts: int) -> None:
+        with self._lock:
+            for name, amount in amounts.items():
+                self._values[name] += amount
+
+    def stats(self) -> Dict[str, object]:
+        stats: Dict[str, object] = {"layer": self.layer}
+        with self._lock:
+            stats.update(self._values)
+        return _with_hit_rate(stats)
+
+    def reset_stats(self) -> None:
+        with self._lock:
+            self._values = dict.fromkeys(self._values, 0)
+
+
+def combine(entries: Iterable[Mapping], layer: str) -> Dict[str, object]:
+    """Pool same-layer stats dicts: every numeric key sums, ``hit_rate`` is
+    recomputed from the pooled hits and misses."""
     combined: Dict[str, object] = {"layer": layer}
-    for key in _SUMMED_KEYS:
-        values = [entry[key] for entry in stats if key in entry]
-        if values:
-            combined[key] = sum(values)
-    hits = combined.get("hits", 0)
-    misses = combined.get("misses", 0)
-    total = hits + misses  # type: ignore[operator]
-    combined["hit_rate"] = hits / total if total else 0.0  # type: ignore[operator]
-    return combined
+    for entry in entries:
+        for key, value in entry.items():
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                combined[key] = combined.get(key, 0) + value  # type: ignore[operator]
+    return _with_hit_rate(combined)
 
 
-def snapshot(
-    catalog: Optional[KernelCatalog] = None,
-    metrics: Optional[Mapping[str, CostMetric]] = None,
-    plan_cache=None,
+def aggregate(
+    snapshots: Iterable[Mapping[str, Mapping]], layers: Iterable[str] = ()
 ) -> Dict[str, dict]:
-    """One process's cache counters, keyed by layer name.
-
-    *catalog* defaults to :func:`default_catalog`; *metrics* is the
-    executor's cache of live metric instances (their kernel-cost memos are
-    combined into one ``kernel_cost`` entry, with a per-metric breakdown
-    under ``per_metric``); *plan_cache* is the session's whole-plan cache
-    (the layer reports zeros when the caller has none -- the plan cache is
-    per-session state, unlike the process-global interner/inference memos).
-    """
-    # Imported lazily: repro.exec pulls in the codegen registry, and the
-    # registry's own bootstrap imports repro.exec -- deferring here keeps
-    # telemetry importable from any point of that cycle.
-    from .exec.loader import execution_telemetry
-    from .obs.analytics import workload_analytics
-
-    catalog = catalog if catalog is not None else default_catalog()
-    plan_stats = (
-        plan_cache.stats()
-        if plan_cache is not None
-        else {
-            "layer": "plan_cache",
-            "size": 0,
-            "max_entries": 0,
-            "hits": 0,
-            "misses": 0,
-            "hit_rate": 0.0,
-            "evictions": 0,
-            "bypasses": 0,
-        }
-    )
-    metric_items = list((metrics or {}).items())
-    metric_stats: List[dict] = [metric.stats() for _, metric in metric_items]
-    kernel_cost = _combine(metric_stats, "kernel_cost")
-    # Keyed by the executor's cache key (stringified), not by the metric's
-    # display name: two live instances of one metric (e.g. the same name
-    # under different cost_cache_size settings) must not overwrite each
-    # other in the breakdown.
-    kernel_cost["per_metric"] = {
-        str(cache_key): {
-            key: value for key, value in entry.items() if key != "metric"
-        }
-        for (cache_key, _), entry in zip(metric_items, metric_stats)
-    }
-    return {
-        "plan_cache": plan_stats,
-        "match_cache": catalog.match_cache.stats(),
-        "interner": default_interner().stats(),
-        "inference": inference_engine().stats(),
-        "kernel_cost": kernel_cost,
-        "solver": solver_work_telemetry().stats(),
-        "segments": segment_telemetry().stats(),
-        "execution": execution_telemetry().stats(),
-        "analytics": workload_analytics().state(),
-    }
-
-
-def reset(
-    catalog: Optional[KernelCatalog] = None,
-    metrics: Optional[Mapping[str, CostMetric]] = None,
-    plan_cache=None,
-) -> None:
-    """Zero the stats counters of every layer (entries stay warm)."""
-    from .exec.loader import execution_telemetry
-    from .obs.analytics import workload_analytics
-
-    catalog = catalog if catalog is not None else default_catalog()
-    if plan_cache is not None:
-        plan_cache.reset_stats()
-    catalog.match_cache.reset_stats()
-    default_interner().reset_stats()
-    inference_engine().reset_stats()
-    solver_work_telemetry().reset_stats()
-    segment_telemetry().reset_stats()
-    execution_telemetry().reset_stats()
-    workload_analytics().reset()
-    for metric in (metrics or {}).values():
-        metric.reset_stats()
-
-
-def aggregate(snapshots: Iterable[Mapping[str, Mapping]]) -> Dict[str, dict]:
     """Pool per-worker snapshots into fleet-wide counters per layer.
 
-    Counter layers sum; the ``analytics`` layer merges sketch-wise
-    (quantile buckets add) -- summing a sketch state key-by-key would be
-    meaningless.
+    *layers* names the layers to report first and even when no snapshot
+    carries them, so a pool whose workers all fail to answer keeps the
+    ``caches`` layout; layers only the snapshots name follow.
     """
-    from .obs.analytics import merge_analytics_states
-
     snapshots = list(snapshots)
+    names = dict.fromkeys(layers)
+    for snap in snapshots:
+        names.update(dict.fromkeys(snap))
     pooled: Dict[str, dict] = {}
-    for layer in CACHE_LAYERS:
+    for layer in names:
         entries = [snap[layer] for snap in snapshots if layer in snap]
-        if layer == "analytics":
-            pooled[layer] = merge_analytics_states(entries)
-        else:
-            pooled[layer] = _combine(entries, layer)
+        pooled[layer] = (
+            merge_analytics_states(entries)
+            if layer == "analytics"
+            else combine(entries, layer)
+        )
     pooled["workers"] = len(snapshots)
     return pooled

@@ -25,12 +25,12 @@ import urllib.request
 
 import pytest
 
-from repro.obs import reset_service_metrics
+from repro.exec.api import ExecuteRequest
+from repro.frontend import Compiler
 from repro.obs.analytics import (
     QuantileSketch,
     WorkloadAnalytics,
     merge_analytics_states,
-    workload_analytics,
 )
 from repro.obs.logging import (
     JsonFormatter,
@@ -191,6 +191,13 @@ class TestWorkloadAnalytics:
 
         assert analytics_enabled() is True
         assert "analytics_enabled" not in repro.obs.__all__
+        assert "workload_analytics" not in repro.obs.__all__
+
+    def test_each_session_records_its_own_requests(self):
+        busy, idle = Compiler(), Compiler()
+        execute_request(CompileRequest(source=source_for("own")), compiler=busy)
+        assert busy.cache_stats()["analytics"]["requests"] == 1
+        assert idle.cache_stats()["analytics"] == WorkloadAnalytics().state()
 
     def test_observe_latencies_matches_single_samples(self):
         batched, single = WorkloadAnalytics(), WorkloadAnalytics()
@@ -232,20 +239,19 @@ class TestExecuteRequestRecording:
     def test_repeat_requests_count_with_plan_hits(self):
         executor = InProcessExecutor()
         try:
-            workload_analytics().reset()
             for _ in range(3):
                 response = executor.submit(CompileRequest(source=source_for("t")))
                 assert response.ok
-            state = workload_analytics().state()
+            state = executor.compiler.analytics.state()
             assert state["requests"] == 3
-            assert state["plan_hits"] >= 2  # first solve is cold
+            assert state["plan_hits"] == 2  # first solve is cold
         finally:
             executor.close()
 
     def test_phase_latency_sketches_populated(self):
-        workload_analytics().reset()
-        execute_request(CompileRequest(source=source_for("p")))
-        phases = latency_sketches(workload_analytics().state())[
+        session = Compiler()
+        execute_request(CompileRequest(source=source_for("p")), compiler=session)
+        phases = latency_sketches(session.analytics.state())[
             "compile_phase_latency_seconds"
         ]
         assert phases["parse"].count == 1
@@ -286,24 +292,38 @@ class TestPoolMerging:
             pool.close()
 
     def test_new_pool_counts_only_its_own_requests(self):
-        # Workers fork from this process after it served a request of its
-        # own; they must not report the counters they inherited.
-        execute_request(CompileRequest(source=source_for("parent")))
-        assert workload_analytics().state()["requests"] >= 1
+        # Workers fork from this process after it served requests of its
+        # own; they must not report anything they inherited.  A fresh
+        # in-process session serving the same stream is the reference.
+        parent = Compiler()
+        execute_request(CompileRequest(source=source_for("parent")), compiler=parent)
+        assert parent.cache_stats()["analytics"]["requests"] == 1
+        compiles = [CompileRequest(source=source_for("own", size)) for size in (40, 50, 40)]
+        run = ExecuteRequest(compile=CompileRequest(source=source_for("run", 40)), seed=1)
+        with InProcessExecutor() as reference:
+            for request in compiles:
+                assert reference.submit(request).ok
+            assert reference.execute(run).ok
+            assert reference.execute(run).module_cache_hit
+            expected = reference.stats()["caches"]
         with WorkerPool(workers=1, request_timeout=120.0) as pool:
-            for size in (40, 50, 40):
-                response = pool.submit(CompileRequest(source=source_for("own", size)))
-                assert response.ok
-            pooled = pool.stats()["caches"]["analytics"]
-        assert pooled["requests"] == 3
-        assert pooled["plan_hits"] == 1
+            for request in compiles:
+                assert pool.submit(request).ok
+            assert pool.execute(run).ok
+            assert pool.execute(run).module_cache_hit
+            pooled = pool.stats()["caches"]
+        assert pooled["analytics"]["requests"] == 3
+        assert pooled["analytics"]["plan_hits"] == 1
+        for layer in ("solver", "segments", "execution", "plan_cache"):
+            assert pooled[layer] == expected[layer], layer
+        assert pooled["execution"]["runs"] == 2
+        assert pooled["plan_cache"]["hits"] == 3
 
     def test_inprocess_executor_exposes_analytics(self):
         executor = InProcessExecutor()
         try:
-            workload_analytics().reset()
             executor.submit(CompileRequest(source=source_for("ip")))
-            assert executor.stats()["caches"]["analytics"]["requests"] >= 1
+            assert executor.stats()["caches"]["analytics"]["requests"] == 1
         finally:
             executor.close()
 
@@ -314,8 +334,6 @@ class TestPoolMerging:
 
 @pytest.fixture(scope="class")
 def analytics_service():
-    reset_service_metrics()
-    workload_analytics().reset()
     executor = InProcessExecutor()
     server, thread = start_server(executor, port=0)
     base = f"http://127.0.0.1:{server.server_address[1]}"
@@ -323,8 +341,6 @@ def analytics_service():
     server.shutdown()
     thread.join(timeout=5.0)
     executor.close()
-    reset_service_metrics()
-    workload_analytics().reset()
 
 
 def _request(url, payload=None):

@@ -4,10 +4,14 @@ Every cache layer of the pipeline -- expression interner, property-inference
 memo, signature-keyed match cache and kernel-cost LRU -- exposes ``stats()``
 (plain dict with ``size``/``max_entries``/``hits``/``misses``/``hit_rate``/
 ``evictions``) and ``reset_stats()``, which is what the service telemetry
-aggregates across workers.
+aggregates across workers.  A :class:`Compiler` session reports its
+registry of layers; the layers it owns are never shared with another
+session.
 """
 
 from __future__ import annotations
+
+import sys
 
 import pytest
 
@@ -18,10 +22,37 @@ from repro.algebra.interning import ExpressionInterner, default_interner
 from repro.algebra.operators import Times
 from repro.cost.metrics import FlopCount
 from repro.core import GMCAlgorithm
+from repro.exec.api import ExecuteRequest, run_execute_request
+from repro.frontend import Compiler
 from repro.kernels.catalog import KernelCatalog, build_default_kernels
 from repro.options import CompileOptions
+from repro.service.api import CompileRequest, execute_request
+from repro.service.pool import InProcessExecutor, WorkerPool
 
 REQUIRED_KEYS = {"layer", "size", "max_entries", "hits", "misses", "hit_rate", "evictions"}
+
+#: The ``caches`` layout of ``GET /stats`` (``perfbench/run.py`` reads it).
+LAYERS = (
+    "plan_cache",
+    "match_cache",
+    "interner",
+    "inference",
+    "kernel_cost",
+    "solver",
+    "segments",
+    "execution",
+    "analytics",
+)
+
+#: Layers a session owns (the rest are process-wide value caches).
+SESSION_LAYERS = ("plan_cache", "kernel_cost", "solver", "segments", "execution", "analytics")
+
+SOURCE = """Matrix A (30, 30) <spd>
+Matrix B (30, 20) <>
+Matrix C (20, 20) <lower_triangular, non_singular>
+X := A^-1 * B * C^T
+Y := X * C
+"""
 
 
 def chain(prefix: str, count: int = 4):
@@ -50,15 +81,34 @@ class TestUniformProtocol:
             after = layer.stats()
             assert after["hits"] == after["misses"] == after["evictions"] == 0
 
+    def test_session_reports_every_layer_in_order(self):
+        session = Compiler()
+        assert tuple(session.cache_stats()) == LAYERS
+        assert tuple(telemetry.aggregate([session.cache_stats()])) == LAYERS + ("workers",)
+
+    def test_pool_with_no_answering_worker_keeps_the_layout(self, monkeypatch):
+        with WorkerPool(workers=1, request_timeout=120.0) as pool:
+            answer = pool._wait
+
+            def lose_reply(token, timeout):
+                # The worker answers, but the reply is dropped as on a timeout.
+                answer(token, timeout)
+                return {"error": "lost"}
+
+            monkeypatch.setattr(pool, "_wait", lose_reply)
+            caches = pool.stats()["caches"]
+        assert tuple(caches) == LAYERS + ("workers",)
+        assert caches["workers"] == 0
+        assert caches["solver"] == {"layer": "solver", "hit_rate": 0.0}
+
     def test_telemetry_snapshot_and_aggregate(self):
         catalog = KernelCatalog(build_default_kernels(), name="stats-test-2")
-        metric = FlopCount()
-        GMCAlgorithm(CompileOptions(catalog=catalog, metric=metric)).solve(chain("V"))
-        snap = telemetry.snapshot(catalog, {"flops": metric})
-        assert set(telemetry.CACHE_LAYERS) <= set(snap)
+        session = Compiler(CompileOptions(catalog=catalog))
+        session.compile(SOURCE)
+        snap = session.cache_stats()
         pooled = telemetry.aggregate([snap, snap])
         assert pooled["workers"] == 2
-        for layer in telemetry.CACHE_LAYERS:
+        for layer in LAYERS:
             if layer == "analytics":
                 # The analytics layer aggregates by sketch merging, not by
                 # counter summing (see repro.obs.analytics); covered in
@@ -73,6 +123,71 @@ class TestUniformProtocol:
         assert match["hit_rate"] == pytest.approx(
             match["hits"] / total if total else 0.0
         )
+
+    def test_pooled_layers_keep_every_numeric_key(self):
+        session = Compiler()
+        execute_request(CompileRequest(source=SOURCE), compiler=session)
+        run_execute_request(ExecuteRequest(compile=CompileRequest(source=SOURCE)), compiler=session)
+        snap = session.cache_stats()
+        pooled = telemetry.aggregate([snap, snap])
+        for layer, entry in snap.items():
+            numeric = {
+                key
+                for key, value in entry.items()
+                if isinstance(value, (int, float)) and not isinstance(value, bool)
+            }
+            assert numeric, layer
+            assert numeric <= set(pooled[layer]), (layer, numeric - set(pooled[layer]))
+            for key in numeric - {"hit_rate"}:
+                assert pooled[layer][key] == 2 * entry[key], (layer, key)
+        assert pooled["inference"]["inferred_size"] == 2 * snap["inference"]["inferred_size"]
+
+
+class TestSessionOwnedState:
+    def test_two_sessions_share_no_owned_counter_or_module(self):
+        first, second = Compiler(), Compiler()
+        request = ExecuteRequest(compile=CompileRequest(source=SOURCE), seed=3)
+        execute_request(CompileRequest(source=SOURCE), compiler=first)
+        assert run_execute_request(request, compiler=first).ok
+        assert run_execute_request(request, compiler=first).module_cache_hit
+        busy = first.cache_stats()
+        idle = second.cache_stats()
+        fresh = Compiler().cache_stats()
+        for layer in SESSION_LAYERS:
+            assert idle[layer] == fresh[layer], layer
+            assert busy[layer] != fresh[layer], layer
+        assert first.loader is not second.loader
+        # The second session solves, loads and runs from scratch.
+        response = run_execute_request(request, compiler=second)
+        assert response.ok and not response.module_cache_hit
+        # Each session solved the program cold exactly once.
+        assert second.cache_stats()["solver"] == busy["solver"]
+        assert first.cache_stats()["execution"] == busy["execution"]
+
+    def test_solver_handed_out_counts_into_its_session(self):
+        session = Compiler()
+        session.solver().solve(chain("H"))
+        session.solver().generate(chain("G", 5))
+        stats = session.cache_stats()["solver"]
+        assert stats["solves"] == 2
+        assert stats["cells_evaluated"] > 0
+
+    def test_closed_executor_unloads_its_modules(self):
+        executor = InProcessExecutor()
+        request = ExecuteRequest(compile=CompileRequest(source=SOURCE), seed=3)
+        assert run_execute_request(request, compiler=executor.compiler).ok
+        names = [entry.module.__name__ for entry in executor.compiler.loader._entries.values()]
+        assert names and all(name in sys.modules for name in names)
+        executor.close()
+        assert not any(name in sys.modules for name in names)
+
+    def test_reset_of_one_session_leaves_the_other(self):
+        first, second = Compiler(), Compiler()
+        first.compile(SOURCE)
+        second.compile(SOURCE)
+        second.reset_cache_stats()
+        assert first.cache_stats()["solver"]["solves"] > 0
+        assert first.cache_stats()["plan_cache"]["misses"] > 0
 
 
 class TestInternerEviction:

@@ -24,8 +24,6 @@ from repro.codegen import available_emitters, get_emitter
 from repro.exec import (
     ModuleLoader,
     ModuleRunError,
-    default_loader,
-    execution_telemetry,
     generate_module,
     plan_signature,
 )
@@ -37,6 +35,7 @@ from repro.service.api import CompileRequest, RequestError
 from repro.service.http import start_server
 from repro.service.pool import InProcessExecutor, WorkerPool
 from repro import telemetry
+from repro.obs import logging as obs_logging
 
 CHAIN_SOURCE = """Matrix A (30, 30) <spd>
 Matrix B (30, 20) <>
@@ -342,9 +341,10 @@ class TestRunExecuteRequest:
                 "total_s"} <= set(response.timing)
 
     def test_repeat_execution_hits_module_cache(self):
+        session = Compiler()
         request = _request(seed=4)
-        run_execute_request(request)
-        response = run_execute_request(request)
+        run_execute_request(request, compiler=session)
+        response = run_execute_request(request, compiler=session)
         assert response.ok and response.module_cache_hit
         assert response.timing["emit_s"] == 0.0
 
@@ -406,12 +406,13 @@ class TestRunExecuteRequest:
         assert "does not match" in response.error
 
     def test_singular_operand_fails_in_run_phase(self):
-        before = execution_telemetry().stats()["run_errors"]
+        session = Compiler()
         response = run_execute_request(
-            _request(payloads={"A": np.zeros((30, 30))})
+            _request(payloads={"A": np.zeros((30, 30))}), compiler=session
         )
         assert not response.ok and response.phase == "run"
-        assert execution_telemetry().stats()["run_errors"] == before + 1
+        execution = session.cache_stats()["execution"]
+        assert (execution["runs"], execution["run_errors"]) == (1, 1)
 
     def test_validation_failure_counts_and_reports(self):
         class _LyingModule:
@@ -422,13 +423,15 @@ class TestRunExecuteRequest:
             def lookup(self, key):
                 return _LyingModule()
 
-        before = execution_telemetry().stats()["validation_failures"]
-        response = run_execute_request(_request(seed=1), loader=_LyingLoader())
+        session = Compiler()
+        response = run_execute_request(
+            _request(seed=1), compiler=session, loader=_LyingLoader()
+        )
         assert not response.ok and response.phase == "validate"
         assert response.validated is False
         assert response.max_rel_error > 1e-6
         assert "diverges from the reference" in response.error
-        assert execution_telemetry().stats()["validation_failures"] == before + 1
+        assert session.cache_stats()["execution"]["validation_failures"] == 1
 
     def test_validation_can_be_disabled(self):
         response = run_execute_request(_request(validate_numerics=False))
@@ -480,21 +483,32 @@ class TestExecuteWire:
 # Telemetry
 # ---------------------------------------------------------------------------
 
-class TestExecutionTelemetry:
-    def test_execution_layer_in_snapshot(self):
-        assert "execution" in telemetry.CACHE_LAYERS
-        layer = telemetry.snapshot()["execution"]
+class TestExecutionLayer:
+    def test_execution_layer_in_session_stats(self):
+        layer = Compiler().cache_stats()["execution"]
         assert layer["layer"] == "execution"
         for key in ("runs", "run_errors", "validation_failures", "hits", "misses"):
-            assert key in layer
+            assert layer[key] == 0
 
     def test_runs_counted_and_aggregated(self):
-        before = telemetry.snapshot()["execution"]["runs"]
-        run_execute_request(_request(seed=4))
-        snap = telemetry.snapshot()
-        assert snap["execution"]["runs"] == before + 1
+        session = Compiler()
+        run_execute_request(_request(seed=4), compiler=session)
+        run_execute_request(_request(seed=4), compiler=session)
+        snap = session.cache_stats()
+        execution = snap["execution"]
+        assert execution["runs"] == 2
+        assert (execution["hits"], execution["misses"], execution["size"]) == (1, 1, 1)
         pooled = telemetry.aggregate([snap, snap])
-        assert pooled["execution"]["runs"] == 2 * (before + 1)
+        assert pooled["execution"]["runs"] == 4
+        assert pooled["execution"]["hit_rate"] == 0.5
+
+    def test_reset_keeps_loaded_modules(self):
+        session = Compiler()
+        run_execute_request(_request(seed=4), compiler=session)
+        session.reset_cache_stats()
+        execution = session.cache_stats()["execution"]
+        assert (execution["runs"], execution["misses"], execution["size"]) == (0, 0, 1)
+        assert run_execute_request(_request(seed=4), compiler=session).module_cache_hit
 
 
 # ---------------------------------------------------------------------------
@@ -530,16 +544,13 @@ class TestExecutorExecute:
         assert not list(tmp_path.iterdir())
 
     def test_worker_never_touches_the_parent_loader(self, tmp_path, monkeypatch):
-        """A forked worker boots with a loader of its own: it writes no
+        """A forked worker's session has a loader of its own: it writes no
         module into the parent's directory, and its shutdown unlinks none
         of the parent's module files."""
         import tempfile
 
-        from repro.exec import loader as loader_module
-
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        parent = ModuleLoader()
-        monkeypatch.setattr(loader_module, "_DEFAULT_LOADER", parent)
+        parent = Compiler().loader
         entry = parent.load("VALUE = 1\n", "parent-module")
         parent_files = sorted(os.listdir(parent.directory))
         try:
@@ -640,8 +651,41 @@ class TestExecuteEndpoint:
             text = resp.read().decode("utf-8")
         assert "repro_execute_phase_seconds" in text
         assert 'phase="run"' in text
-        assert "repro_execute_validation_failures" in text
-        assert 'layer="execution"' in text
+        assert 'repro_validation_failures{layer="execution"} 0' in text
+        assert "repro_execute_validation_failures" not in text
+
+    def test_validation_failure_counted_and_logged_once(self, monkeypatch):
+        """One diverging ``/execute`` (exact tolerances: the module and the
+        reference round differently) is one warning line and one count."""
+        import logging
+
+        monkeypatch.setattr(
+            obs_logging, "_DEFAULT_SUPPRESSOR", obs_logging.TokenBucketSuppressor()
+        )
+        records = []
+        handler = logging.Handler(logging.WARNING)
+        handler.emit = records.append
+        logger = logging.getLogger("repro")
+        logger.addHandler(handler)
+        executor = InProcessExecutor()
+        server, thread = start_server(executor, port=0)
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        try:
+            status, body, _ = _post(
+                f"{base}/execute",
+                {"source": CHAIN_SOURCE, "execute": {"seed": 1, "rtol": 0, "atol": 0}},
+            )
+            with urllib.request.urlopen(f"{base}/metrics", timeout=30) as resp:
+                text = resp.read().decode("utf-8")
+        finally:
+            logger.removeHandler(handler)
+            server.shutdown()
+            thread.join(timeout=5.0)
+            executor.close()
+        assert status == 400 and body["phase"] == "validate"
+        warnings = [r for r in records if r.levelno >= logging.WARNING]
+        assert [r.getMessage() for r in warnings] == ["execute validation failed"]
+        assert 'repro_validation_failures{layer="execution"} 1' in text.splitlines()
 
 
 # ---------------------------------------------------------------------------

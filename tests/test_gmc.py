@@ -524,35 +524,30 @@ class TestWorkCounters:
         assert self._solve(chain, prune=True).cells_pruned > 0
         assert self._solve(chain, prune=False).cells_pruned == 0
 
-    def test_solver_layer_in_telemetry_snapshot(self):
-        from repro import telemetry
+    def test_solver_layer_sums_the_session_solves(self):
+        from repro.frontend import Compiler
 
-        before = telemetry.snapshot()["solver"]
-        solution = self._solve(self._chain(seed=9, length=6))
-        after = telemetry.snapshot()["solver"]
-        assert after["solves"] >= before["solves"] + 1
-        assert after["cells_evaluated"] >= before["cells_evaluated"] + solution.cells_evaluated
-        assert {"hits", "misses", "hit_rate"} <= set(after)
+        session = Compiler(CompileOptions(plan_cache=False))
+        first = session.solve(self._chain(seed=9, length=6))
+        second = session.solve(self._chain(seed=10, length=12))
+        layer = session.cache_stats()["solver"]
+        assert layer["solves"] == 2
+        for key in ("cells_evaluated", "cells_pruned", "diagonals"):
+            assert layer[key] == getattr(first, key) + getattr(second, key)
+        assert layer["hits"] == first.memo_hits + second.memo_hits
+        assert layer["misses"] == first.memo_misses + second.memo_misses
 
     @pytest.mark.parametrize("prune", [True, False])
-    def test_decision_memo_hits_surface_in_telemetry(self, prune):
-        from repro import telemetry
-
-        before = telemetry.snapshot()["solver"]
-        self._solve(self._chain(seed=10, length=12), prune=prune)
-        after = telemetry.snapshot()["solver"]
+    def test_decision_memo_hits_surface_on_the_solution(self, prune):
+        solution = self._solve(self._chain(seed=10, length=12), prune=prune)
         # Palette dims repeat, so the memo must have both missed (first
         # sighting of each split signature) and hit (every repeat).
-        assert after["misses"] > before["misses"]
-        assert after["hits"] > before["hits"]
+        assert solution.memo_misses > 0
+        assert solution.memo_hits > 0
 
     def test_match_cache_off_bypasses_the_decision_memo(self):
-        from repro import telemetry
-
-        before = telemetry.snapshot()["solver"]
-        self._solve(self._chain(seed=10, length=12), match_cache=False)
-        after = telemetry.snapshot()["solver"]
-        assert (after["hits"], after["misses"]) == (before["hits"], before["misses"])
+        solution = self._solve(self._chain(seed=10, length=12), match_cache=False)
+        assert (solution.memo_hits, solution.memo_misses) == (0, 0)
 
 
 class TestDeadlineChecker:

@@ -223,6 +223,24 @@ class TestOtherPredicates:
         assert is_unit_diagonal(Times(l_unit, l_unit2))
         assert not is_unit_diagonal(Times(l_unit, L))
 
+    def test_unit_diagonal_product_needs_one_triangular_orientation(self):
+        """Unit-diagonal factors multiply to a unit-diagonal product only
+        when all are triangular the same way (``L U`` has no unit
+        diagonal in general)."""
+        l_unit = Matrix("Lu", 6, 6, {Property.LOWER_TRIANGULAR, Property.UNIT_DIAGONAL})
+        u_unit = Matrix("Uu", 6, 6, {Property.UPPER_TRIANGULAR, Property.UNIT_DIAGONAL})
+        unit = Matrix("Du", 6, 6, {Property.UNIT_DIAGONAL})
+        for product in (
+            Times(l_unit, u_unit),
+            Times(u_unit, l_unit),
+            Times(l_unit, Transpose(l_unit)),
+            Times(l_unit, unit),
+            Times(unit, unit),
+        ):
+            assert not is_unit_diagonal(product), str(product)
+            assert Property.UNIT_DIAGONAL not in infer_properties(product)
+        assert is_unit_diagonal(Times(u_unit, Transpose(l_unit)))
+
 
 class TestInferProperties:
     def test_returns_closed_set(self):

@@ -3,7 +3,7 @@
 Covers the PR 8 acceptance criteria:
 
 * ``GET /metrics`` returns well-formed Prometheus text exposition carrying
-  all seven cache-telemetry layers and the per-endpoint latency histograms
+  every cache-telemetry layer of the session and the per-endpoint latency histograms
   rendered from the latency sketches (monotone cumulative buckets ending
   in ``le="+Inf"``, one sample per request whether or not analytics is on);
 * request ids propagate: header -> request wire -> pool worker -> response
@@ -24,7 +24,7 @@ import urllib.request
 
 import pytest
 
-from repro.frontend import compile_source
+from repro.frontend import Compiler, compile_source
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
     JsonFormatter,
@@ -35,13 +35,11 @@ from repro.obs import (
     get_logger,
     provenance_of,
     render_prometheus,
-    reset_service_metrics,
 )
 from repro.obs.metrics import format_value, sanitize_metric_name
 from repro.options import CompileOptions
 from repro.service import CompileRequest, InProcessExecutor, WorkerPool
 from repro.service.http import start_server
-from repro.telemetry import CACHE_LAYERS
 
 #: A multi-assignment program that decomposes into several chain segments
 #: (a shared chain, a dependent chain referencing an earlier target, and a
@@ -374,7 +372,6 @@ class TestTracedCompile:
 
 @pytest.fixture(scope="class")
 def obs_service():
-    reset_service_metrics()
     executor = InProcessExecutor()
     server, thread = start_server(executor, port=0)
     base = f"http://127.0.0.1:{server.server_address[1]}"
@@ -382,7 +379,6 @@ def obs_service():
     server.shutdown()
     thread.join(timeout=5.0)
     executor.close()
-    reset_service_metrics()
 
 
 def _request(url, payload=None, headers=None):
@@ -407,7 +403,7 @@ class TestServiceObservability:
         assert status == 200
         assert headers["Content-Type"].startswith("text/plain")
         assert_well_formed_exposition(text)
-        for layer in CACHE_LAYERS:
+        for layer in Compiler().cache_stats():
             assert f'layer="{layer}"' in text, f"missing telemetry layer {layer}"
         assert "repro_service_workers" in text
         assert "repro_pool_requests" in text

@@ -11,7 +11,6 @@ telemetry counters.
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.algebra import (
     Inverse,
     Matrix,
@@ -21,11 +20,7 @@ from repro.algebra import (
     infer_properties,
     parse_program,
 )
-from repro.core import (
-    UncomputableSegmentError,
-    decompose_program,
-    segment_telemetry,
-)
+from repro.core import UncomputableSegmentError, decompose_program
 from repro.experiments.workload import jacobian_workload
 from repro.frontend import CompileOptions, Compiler, compile_source
 from repro.kernels import default_catalog
@@ -171,10 +166,9 @@ V := S^-1 * T
 
     def test_changing_one_operand_invalidates_only_dependent_segments(self):
         session = Compiler()
-        before = segment_telemetry().stats()
         session.compile(self.SOURCE_TEMPLATE.format(s_props="spd"))
-        cold = segment_telemetry().stats()
-        assert cold["misses"] - before["misses"] == 2
+        cold = session.segment_work.stats()
+        assert (cold["hits"], cold["misses"]) == (0, 2)
 
         # "Mutate" S: drop SPD down to general non-singular.  U does not
         # depend on S, so its segment must still be answered by the plan
@@ -182,7 +176,7 @@ V := S^-1 * T
         changed = session.compile(
             self.SOURCE_TEMPLATE.format(s_props="non_singular")
         )
-        after = segment_telemetry().stats()
+        after = session.segment_work.stats()
         assert after["hits"] - cold["hits"] == 1
         assert after["misses"] - cold["misses"] == 1
         # And the re-solved segment actually picked different kernels:
@@ -192,12 +186,12 @@ V := S^-1 * T
     def test_unchanged_sibling_program_hits_on_every_segment(self):
         session = Compiler()
         session.compile(DAG_SOURCE)
-        before = segment_telemetry().stats()
+        before = session.segment_work.stats()
         sibling = DAG_SOURCE
         for name in ("Xb", "S", "Yb", "R"):
             sibling = sibling.replace(name, name + "2")
         session.compile(sibling)
-        after = segment_telemetry().stats()
+        after = session.segment_work.stats()
         lookups = (after["hits"] + after["misses"]) - (
             before["hits"] + before["misses"]
         )
@@ -211,11 +205,10 @@ V := S^-1 * T
         plan-cache-off compile."""
         problems = jacobian_workload(models=12, blocks=6)
         session = Compiler()
-        before = segment_telemetry().stats()
         results = [session.compile(problem.source) for problem in problems]
-        after = segment_telemetry().stats()
-        hits = after["hits"] - before["hits"]
-        lookups = hits + after["misses"] - before["misses"]
+        after = session.segment_work.stats()
+        hits = after["hits"]
+        lookups = hits + after["misses"]
         assert lookups == 12 * 7
         assert hits / lookups >= 0.9
 
@@ -301,21 +294,20 @@ X := C^-1 * D^-1
 
 
 class TestTelemetry:
-    def test_segment_layer_in_global_snapshot(self):
-        telemetry.reset()
-        compile_source(DAG_SOURCE)
-        snap = telemetry.snapshot()
-        stats = snap["segments"]
+    def test_segment_layer_in_session_stats(self):
+        session = Compiler()
+        session.compile(DAG_SOURCE)
+        stats = session.cache_stats()["segments"]
         assert stats["layer"] == "segments"
         assert stats["programs"] == 1
         assert stats["segments"] == 4
         assert stats["synthetic"] == 1
-        assert "segments" in telemetry.CACHE_LAYERS
 
     def test_reset_zeroes_segment_counters(self):
-        compile_source(DAG_SOURCE)
-        telemetry.reset()
-        stats = segment_telemetry().stats()
+        session = Compiler()
+        session.compile(DAG_SOURCE)
+        session.reset_cache_stats()
+        stats = session.cache_stats()["segments"]
         assert stats["programs"] == 0
         assert stats["hits"] == 0
         assert stats["misses"] == 0
