@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import statistics
 
+import pytest
+
 from repro.experiments.figures import figure8
 
 
@@ -56,6 +58,7 @@ def test_figure8_shape(benchmark, modeled_experiment):
     assert worst in ("eigen_naive", "matlab_naive")
 
 
+@pytest.mark.measured
 def test_figure8_measured_speedups_are_consistent(benchmark, measured_experiment):
     """With measured NumPy execution the ordering may get noisy, but GMC must
     still be clearly ahead of the naive strategies on average."""

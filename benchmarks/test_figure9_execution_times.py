@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 
+import pytest
+
 from repro.experiments.figures import figure9
 from repro.experiments.harness import GMC_NAME
 
@@ -42,6 +44,7 @@ def test_figure9_modeled_statistics(benchmark, modeled_experiment):
     assert all(len(row) >= 11 for row in rows)  # problem id + 10 strategies
 
 
+@pytest.mark.measured
 def test_figure9_measured_statistics(benchmark, measured_experiment):
     result = benchmark.pedantic(
         lambda: figure9(experiment=measured_experiment, execute=True),

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import statistics
 
+import pytest
+
 from repro.algebra import Matrix, Times
 from repro.core import GMCAlgorithm
 from repro.experiments.figures import generation_time
@@ -32,6 +34,7 @@ def test_single_chain_generation_time(benchmark):
     assert solution.computable
 
 
+@pytest.mark.measured
 def test_generation_time_statistics(benchmark):
     result = benchmark.pedantic(
         lambda: generation_time(count=30, seed=0, full_scale=True),
@@ -45,6 +48,7 @@ def test_generation_time_statistics(benchmark):
     assert data["mean"] < 0.1
 
 
+@pytest.mark.measured
 def test_generation_time_is_independent_of_matrix_sizes(benchmark):
     """Solving the same-length chain with 50x larger operands must not take
     noticeably longer (Section 4: 'the generation time does not depend on

@@ -251,7 +251,7 @@ class _StrategyProgramBuilder:
         best = None
         best_key = None
         for kernel, substitution in matches:
-            cost = self.metric.kernel_cost_cached(kernel, substitution)
+            cost = self.metric.kernel_cost(kernel, substitution)
             key = (cost, -len(kernel.pattern.constraints), kernel.id)
             if best_key is None or key < best_key:
                 best_key = key
@@ -272,7 +272,7 @@ class _StrategyProgramBuilder:
                 output=output,
                 expression=expr,
                 flops=kernel.flops(substitution),
-                cost=self.metric.kernel_cost_cached(kernel, substitution),
+                cost=self.metric.kernel_cost(kernel, substitution),
             )
         )
 

@@ -63,9 +63,7 @@ class KernelDecisionMemo:
     flattenings (``_flatten_subject`` of a product is its root followed by
     the children's flattenings, and no pattern binds the root).  Without
     it the loop would re-price structurally repeated splits -- ubiquitous
-    in chains whose operands share dimensions -- on every cell, because
-    the metric's kernel-cost memo keys on concrete substitutions over
-    freshly named temporaries.
+    in chains whose operands share dimensions -- on every cell.
 
     One memo serves one solve.  Construction is gated by
     :func:`make_decision_memo` on the same conditions under which the

@@ -578,7 +578,7 @@ class GMCAlgorithm:
         for kernel, substitution in self.catalog.match(
             expr, use_cache=self.use_match_cache
         ):
-            kernel_cost = self.metric.kernel_cost_cached(kernel, substitution)
+            kernel_cost = self.metric.kernel_cost(kernel, substitution)
             key = (kernel_cost, -len(kernel.pattern.constraints), kernel.id)
             if best_key is None or key < best_key:
                 best_key = key

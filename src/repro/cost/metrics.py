@@ -16,7 +16,6 @@ cheap inside the ``O(n^3)`` loop.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from typing import Callable, Optional, Sequence, Tuple
 
 from ..kernels.kernel import Kernel
@@ -40,8 +39,9 @@ class CostMetric:
     #: Cost of an impossible computation (no kernel matches).
     infinity: object = math.inf
     #: Whether :meth:`kernel_cost` is a pure function of (kernel,
-    #: substitution).  Metrics with mutable state must set this to ``False``
-    #: so :meth:`kernel_cost_cached` never serves stale values.
+    #: substitution).  Together with :attr:`signature_pure` it lets the GMC
+    #: loop's split-decision memo reuse a decision within one solve;
+    #: metrics with mutable state must set this to ``False``.
     cacheable: bool = True
     #: Whether :meth:`kernel_cost` depends only on what the operands'
     #: shape/property signature captures -- dimensions, declared properties
@@ -57,84 +57,10 @@ class CostMetric:
     #: to ``False``, which disables :meth:`lower_bound` (and with it the DP
     #: split pruning, which is only sound for non-negative kernel costs).
     nonnegative: bool = True
-    #: Bound on the :meth:`kernel_cost_cached` memo; the least recently used
-    #: entry is evicted when a new one would exceed it.
-    cost_cache_size: int = 100_000
-
-    # Class-level defaults for the memo counters, so metric instances stay
-    # cheap to construct (subclasses define no ``__init__``) and the first
-    # increment creates the instance attribute.
-    _cost_hits: int = 0
-    _cost_misses: int = 0
-    _cost_evictions: int = 0
 
     def kernel_cost(self, kernel: Kernel, substitution: Substitution) -> object:
         """Cost of applying *kernel* to the matched operands."""
         raise NotImplementedError
-
-    def kernel_cost_cached(self, kernel: Kernel, substitution: Substitution) -> object:
-        """Memoized :meth:`kernel_cost`, keyed by ``(kernel, substitution)``.
-
-        Kernel costs are pure functions of the matched operand shapes, so the
-        DP loops (which re-encounter the same leaf-level substitutions across
-        splits and across repeated solves on a shared metric instance) can
-        look them up instead of re-evaluating the cost formula.  The kernel
-        object itself is part of the key (kernels hash by identity), so
-        same-id kernels from different catalogs never collide.  Substitution
-        hashing is O(1) amortized thanks to the cached expression hashes.
-        Metrics that are not pure set :attr:`cacheable` to ``False`` and are
-        never cached.
-
-        The memo is a bounded LRU (:attr:`cost_cache_size` entries): overflow
-        evicts only the coldest entry, so a long-running service keeps its
-        working set warm instead of periodically re-deriving every cost from
-        scratch, as the previous wholesale ``clear()``-at-capacity reset did.
-        """
-        if not self.cacheable:
-            return self.kernel_cost(kernel, substitution)
-        try:
-            cache = self._cost_cache
-        except AttributeError:
-            cache = OrderedDict()
-            self._cost_cache = cache
-        key = (kernel, substitution)
-        cost = cache.get(key)
-        if cost is None:
-            self._cost_misses += 1
-            cost = self.kernel_cost(kernel, substitution)
-            if len(cache) >= self.cost_cache_size:
-                cache.popitem(last=False)
-                self._cost_evictions += 1
-            cache[key] = cost
-        else:
-            self._cost_hits += 1
-            cache.move_to_end(key)
-        return cost
-
-    @property
-    def cost_cache_hit_rate(self) -> float:
-        total = self._cost_hits + self._cost_misses
-        return self._cost_hits / total if total else 0.0
-
-    def stats(self) -> dict:
-        """Plain-dict counters for the kernel-cost memo (uniform cache-stats
-        protocol shared with the interner, inference memo and match cache)."""
-        cache = getattr(self, "_cost_cache", None)
-        return {
-            "layer": "kernel_cost",
-            "metric": self.name,
-            "size": len(cache) if cache is not None else 0,
-            "max_entries": self.cost_cache_size,
-            "hits": self._cost_hits,
-            "misses": self._cost_misses,
-            "hit_rate": self.cost_cache_hit_rate,
-            "evictions": self._cost_evictions,
-        }
-
-    def reset_stats(self) -> None:
-        self._cost_hits = 0
-        self._cost_misses = 0
-        self._cost_evictions = 0
 
     def combine(self, left: object, right: object) -> object:
         """Accumulate two costs (defaults to addition)."""
@@ -323,13 +249,12 @@ class VectorMetric(CostMetric):
 class CustomMetric(CostMetric):
     """Wrap an arbitrary ``f(kernel, substitution) -> float`` as a metric.
 
-    User functions may close over mutable state, so custom metrics are
-    conservatively excluded from kernel-cost caching; pass
-    ``cacheable=True`` when the function is pure.  Likewise they may return
+    User functions may close over mutable state or inspect operand names,
+    so the GMC loop's signature-keyed decision memo is off unless
+    ``cacheable=True`` promises a pure function and ``signature_pure=True``
+    promises shape/property-only pricing.  Likewise they may return
     negative costs, so DP split pruning is off unless ``nonnegative=True``
-    promises that the function never does; and they may inspect operand
-    names, so the GMC loop's signature-keyed decision memo is off
-    unless ``signature_pure=True`` promises shape/property-only pricing.
+    promises that the function never does.
     """
 
     def __init__(

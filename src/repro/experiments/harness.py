@@ -27,6 +27,7 @@ from ..cost.metrics import CostMetric, FlopCount, PerformanceMetric
 from ..options import CompileOptions
 from ..kernels.catalog import KernelCatalog, default_catalog
 from ..kernels.kernel import Program
+from ..runtime.blas_threads import single_blas_thread
 from ..runtime.executor import Executor
 from ..runtime.operands import instantiate_expression
 from ..runtime.reference import allclose
@@ -279,7 +280,9 @@ def _execute_and_validate(
 
     The timed rounds interleave the programs: a burst of machine noise then
     inflates one sample of every program rather than every sample of one,
-    and the minimum over ``config.repetitions`` rounds discards it.
+    and the minimum over ``config.repetitions`` rounds discards it.  They
+    run at one thread per loaded OpenBLAS, as a service worker runs
+    generated code (:func:`~repro.runtime.blas_threads.single_blas_thread`).
     """
     timed = []
     for result, program in measurable:
@@ -294,12 +297,15 @@ def _execute_and_validate(
             )
         if config.execute:
             timed.append((result, program, []))
-    for _ in range(max(1, config.repetitions)):
-        for result, program, samples in timed:
-            executor = Executor()
-            start = time.perf_counter()
-            executor.execute(program, environment)
-            samples.append(time.perf_counter() - start)
+    if not timed:
+        return
+    with single_blas_thread():
+        for _ in range(max(1, config.repetitions)):
+            for result, program, samples in timed:
+                executor = Executor()
+                start = time.perf_counter()
+                executor.execute(program, environment)
+                samples.append(time.perf_counter() - start)
     for result, _, samples in timed:
         result.measured_time = min(samples)
 

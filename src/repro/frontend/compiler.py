@@ -11,11 +11,11 @@ the pieces of this repository into that end-to-end pipeline:
 
 The front door is a :class:`Compiler` **session**: it is configured by one
 frozen :class:`~repro.options.CompileOptions` value and owns the catalog,
-the per-metric cost-cache instances and the cache telemetry, so repeated
-compilations share every warm cache.  The same session class backs the
-command line (``python -m repro.frontend``), the HTTP service
-(:mod:`repro.service`) and the benchmark scripts, which is what guarantees
-identical kernel sequences across all entry points.
+the plan cache and the cache telemetry, so repeated compilations share
+every warm cache.  The same session class backs the command line
+(``python -m repro.frontend``), the HTTP service (:mod:`repro.service`)
+and the benchmark scripts, which is what guarantees identical kernel
+sequences across all entry points.
 
 :func:`compile_source` / :func:`compile_program` remain as conveniences
 that run one compilation on a throwaway session configured by ``options=``.
@@ -287,23 +287,20 @@ class CompilationResult:
 #: Inputs :meth:`Compiler.compile` accepts.
 CompileInput = Union[str, ParsedProgram, Expression]
 
-#: Bound on the live metric instances one session keeps (metric names are
-#: few; the custom-cost_cache_size variants are the client-controlled part).
-_MAX_METRIC_INSTANCES = 16
-
 
 class Compiler:
     """A compilation session: one options value, warm caches, telemetry.
 
-    The session owns the kernel catalog, one live
-    :class:`~repro.cost.metrics.CostMetric` instance per metric name (and
-    with it the kernel-cost LRU), the whole-plan cache, the execution
-    tier's module loader, the solver/segment/execution counters and the
-    workload analytics -- exactly the state a warm service worker keeps
-    between requests.  Every compilation through it also shares the
+    The session owns the kernel catalog, the whole-plan cache, the
+    execution tier's module loader, the solver/segment/execution counters
+    and the workload analytics -- exactly the state a warm service worker
+    keeps between requests.  Every compilation through it also shares the
     process-wide value caches: the interner, the inference memo and the
     catalog's match cache.  :meth:`cache_stats` reports all of them as the
-    registry of telemetry layers :mod:`repro.telemetry` describes.
+    registry of telemetry layers :mod:`repro.telemetry` describes.  The
+    session resolves each metric name to one
+    :class:`~repro.cost.metrics.CostMetric` instance (:meth:`metric_for`);
+    a metric is a stateless pricing function, so it holds no cache.
 
     Per-call options may override the session options (same catalog, fresh
     pipeline flags), which is how the service serves requests with differing
@@ -327,8 +324,7 @@ class Compiler:
             base = base.replace(**overrides)
         self.options: CompileOptions = base
         self.catalog: KernelCatalog = base.resolve_catalog()
-        #: Live metric instances keyed by metric name; reusing one instance
-        #: across compilations is what keeps its kernel-cost LRU warm.
+        #: Metric instances keyed by metric name (:meth:`metric_for`).
         self._metrics: Dict[str, CostMetric] = {}
         #: Whole-plan cache consulted before dispatching to a solver
         #: (:mod:`repro.persist`); bound to the session's catalog.
@@ -360,7 +356,7 @@ class Compiler:
             ),
             "interner": (default_interner().stats, default_interner().reset_stats),
             "inference": (inference_engine().stats, inference_engine().reset_stats),
-            "kernel_cost": (self._kernel_cost_stats, self._reset_kernel_cost),
+            "kernel_cost": (_retired_kernel_cost_stats, lambda: None),
             "solver": (self.solver_work.stats, self.solver_work.reset_stats),
             "segments": (self.segment_work.stats, self.segment_work.reset_stats),
             "execution": (self._execution_stats, self._reset_execution),
@@ -376,9 +372,8 @@ class Compiler:
         A session is a warm-cache scope bound to one catalog, so a per-call
         request for a *different* catalog is an error (silently swapping
         catalogs would cross cache domains and give wrong-catalog answers);
-        build a new :class:`Compiler` for a different catalog.  The metric
-        is swapped for the session's live instance so its kernel-cost LRU
-        stays warm across calls.
+        build a new :class:`Compiler` for a different catalog.  A metric
+        name is swapped for the session's instance (:meth:`metric_for`).
         """
         effective = options if options is not None else self.options
         if overrides:
@@ -394,36 +389,18 @@ class Compiler:
         )
 
     def metric_for(self, options: Optional[CompileOptions] = None) -> CostMetric:
-        """The session's live metric instance for *options* (default: own).
+        """The session's metric instance for *options* (default: its own).
 
-        Instances are cached per ``(name, cost_cache_size)``: a request with
-        a custom cache size warms its own instance instead of resizing (and
-        thereby cold-starting) the LRU every default request shares.  Live
-        metric instances in the options are caller-owned and returned as-is.
+        A metric name resolves once per session to one instance, which
+        every later call with that name shares; a live metric instance in
+        *options* is caller-owned and returned as it is.
         """
         options = options if options is not None else self.options
         if isinstance(options.metric, CostMetric):
             return options.metric
-        # Default-sized metrics are keyed by plain name (also the key scheme
-        # of the pre-session ``metrics=`` dicts execute_request still
-        # accepts); custom-sized ones get their own (name, size) slot.
-        key = (
-            options.metric
-            if options.cost_cache_size is None
-            else (options.metric, options.cost_cache_size)
-        )
-        metric = self._metrics.get(key)
+        metric = self._metrics.get(options.metric)
         if metric is None:
-            if len(self._metrics) >= _MAX_METRIC_INSTANCES:
-                # cost_cache_size is client-controlled on the service wire;
-                # without a bound, cycling sizes would grow a worker's
-                # metric cache forever.  Evict a custom-sized instance
-                # first so the plain-name defaults stay warm.
-                sized = [k for k in self._metrics if isinstance(k, tuple)]
-                del self._metrics[sized[0] if sized else next(iter(self._metrics))]
-            metric = self._metrics[key] = resolve_metric(options.metric)
-            if options.cost_cache_size is not None:
-                metric.cost_cache_size = options.cost_cache_size
+            metric = self._metrics[options.metric] = resolve_metric(options.metric)
         return metric
 
     def solver(
@@ -631,23 +608,6 @@ class Compiler:
         for _, reset in self._layers.values():
             reset()
 
-    def _kernel_cost_stats(self) -> dict:
-        """The live metrics' kernel-cost memos summed into one layer, with
-        a breakdown keyed by the metric cache key (two instances of one
-        metric under different ``cost_cache_size`` settings stay apart)."""
-        metrics = list(self._metrics.items())
-        per_metric = [metric.stats() for _, metric in metrics]
-        layer = combine(per_metric, "kernel_cost")
-        layer["per_metric"] = {
-            str(key): {name: value for name, value in entry.items() if name != "metric"}
-            for (key, _), entry in zip(metrics, per_metric)
-        }
-        return layer
-
-    def _reset_kernel_cost(self) -> None:
-        for metric in self._metrics.values():
-            metric.reset_stats()
-
     def _execution_stats(self) -> dict:
         """The module loader's cache counters with the session's runs."""
         return combine([self.loader.stats(), self.execution.stats()], "execution")
@@ -655,6 +615,24 @@ class Compiler:
     def _reset_execution(self) -> None:
         self.loader.reset_stats()
         self.execution.reset_stats()
+
+
+def _retired_kernel_cost_stats() -> dict:
+    """Zero counters under the ``kernel_cost`` layer name.
+
+    A metric memoizes no kernel cost, so nothing feeds this layer.  The
+    entry stays in ``/stats`` only because perfbench's per-layer metrics
+    (``perfbench/run.py:http_layers``) index ``caches["kernel_cost"]``;
+    drop it together with that read.
+    """
+    return {
+        "layer": "kernel_cost",
+        "size": 0,
+        "hits": 0,
+        "misses": 0,
+        "hit_rate": 0.0,
+        "evictions": 0,
+    }
 
 
 class _SessionSolver(GMCAlgorithm):
@@ -902,17 +880,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.execute:
         # Same warm session: the plan cache answers the recompile inside
         # the execution path, so --execute costs one run, not two solves.
+        # The run is timed at one BLAS thread per library, as a service
+        # worker runs it.
         from ..exec.api import ExecuteRequest, run_execute_request
+        from ..runtime.blas_threads import single_blas_thread
         from ..service.api import CompileRequest
 
-        response = run_execute_request(
-            ExecuteRequest(
-                compile=CompileRequest(source=text, options=build_options(args)),
-                seed=args.seed,
-                rtol=args.rtol,
-            ),
-            compiler=compiler,
-        )
+        with single_blas_thread():
+            response = run_execute_request(
+                ExecuteRequest(
+                    compile=CompileRequest(source=text, options=build_options(args)),
+                    seed=args.seed,
+                    rtol=args.rtol,
+                ),
+                compiler=compiler,
+            )
         print(_execution_report(response))
         if not response.ok:
             return 1

@@ -19,7 +19,7 @@ process-global toggles.  The options object names:
 * a per-request **deadline budget** (``deadline_s``; enforced at DP cell
   boundaries -- expiring returns the best-so-far solution marked
   ``complete=False``), and
-* the kernel-cost **cache sizing** (``cost_cache_size``).
+* span-tree **tracing** (``trace``).
 
 Options are validated eagerly at construction, are immutable (derive
 variants with :meth:`CompileOptions.replace`) and serialize losslessly to
@@ -36,12 +36,6 @@ from .cost.metrics import CostMetric, resolve_metric
 
 __all__ = ["CompileOptions"]
 
-#: Upper bound on :attr:`CompileOptions.cost_cache_size`.  The field is
-#: client-controlled on the service wire; an unbounded value would let a
-#: remote client effectively disable kernel-cost LRU eviction in a
-#: long-lived worker (10x the metric default is plenty for tuning).
-MAX_COST_CACHE_SIZE = 1_000_000
-
 #: Keys of the JSON wire form of :class:`CompileOptions`.
 _WIRE_KEYS = (
     "metric",
@@ -50,7 +44,6 @@ _WIRE_KEYS = (
     "match_cache",
     "plan_cache",
     "deadline_s",
-    "cost_cache_size",
     "trace",
 )
 
@@ -87,8 +80,6 @@ class CompileOptions:
     #: boundaries and return the best-so-far solution with
     #: ``complete=False`` once it expires.
     deadline_s: Optional[float] = None
-    #: Override for the per-metric kernel-cost LRU capacity.
-    cost_cache_size: Optional[int] = None
     #: Record a span tree for the compilation (:mod:`repro.obs.trace`):
     #: per-segment phases with cache-hit provenance and per-anti-diagonal DP
     #: spans, exposed as ``CompilationResult.trace``.  Diagnostic only -- it
@@ -118,15 +109,6 @@ class CompileOptions:
             deadline = float(self.deadline_s)
             if not deadline > 0:
                 raise ValueError(f"deadline_s must be positive, got {deadline!r}")
-        if self.cost_cache_size is not None:
-            if (
-                not isinstance(self.cost_cache_size, int)
-                or not 1 <= self.cost_cache_size <= MAX_COST_CACHE_SIZE
-            ):
-                raise ValueError(
-                    f"cost_cache_size must be an int in [1, {MAX_COST_CACHE_SIZE}], "
-                    f"got {self.cost_cache_size!r}"
-                )
         if self.catalog is not None and not hasattr(self.catalog, "match"):
             raise TypeError(f"catalog {self.catalog!r} has no match() method")
 
@@ -142,18 +124,11 @@ class CompileOptions:
         return self.metric if isinstance(self.metric, str) else self.metric.name
 
     def resolve_metric(self) -> CostMetric:
-        """A :class:`CostMetric` instance for :attr:`metric`.
-
-        Live instances are returned untouched -- they are caller-owned and
-        possibly shared across solvers, so :attr:`cost_cache_size` is only
-        applied to instances this call constructs from a metric *name*.
-        """
+        """A :class:`CostMetric` instance for :attr:`metric` (live
+        instances are returned as they are)."""
         if isinstance(self.metric, CostMetric):
             return self.metric
-        metric = resolve_metric(self.metric)
-        if self.cost_cache_size is not None:
-            metric.cost_cache_size = self.cost_cache_size
-        return metric
+        return resolve_metric(self.metric)
 
     def resolve_catalog(self):
         """The catalog to compile against (default catalog when unset)."""
@@ -179,8 +154,6 @@ class CompileOptions:
         }
         if self.deadline_s is not None:
             payload["deadline_s"] = self.deadline_s
-        if self.cost_cache_size is not None:
-            payload["cost_cache_size"] = self.cost_cache_size
         if self.trace:
             payload["trace"] = True
         return payload
@@ -202,7 +175,6 @@ class CompileOptions:
             return value
 
         deadline = payload.get("deadline_s")
-        cache_size = payload.get("cost_cache_size")
         return cls(
             metric=payload.get("metric", "flops"),
             emit=tuple(payload.get("emit", ())),
@@ -210,6 +182,5 @@ class CompileOptions:
             match_cache=wire_bool("match_cache"),
             plan_cache=wire_bool("plan_cache"),
             deadline_s=None if deadline is None else float(deadline),
-            cost_cache_size=None if cache_size is None else int(cache_size),
             trace=wire_bool("trace", default=False),
         )

@@ -213,7 +213,7 @@ class CachedPlanSolution:
             substitution = Substitution._from_owned_dict(
                 {name: nodes[position] for name, position in slots}
             )
-            kernel_cost = metric.kernel_cost_cached(kernel, substitution)
+            kernel_cost = metric.kernel_cost(kernel, substitution)
             # Replicate the DP's accumulation tree exactly, so the reported
             # optimum is bit-identical to a cold solve for every metric.
             cell_costs[(i, j)] = metric.combine(
@@ -403,9 +403,9 @@ class PlanCache:
     ) -> Optional[CachedPlanSolution]:
         """A re-bound solution for *expression*, or ``None`` on miss/bypass.
 
-        *metric* is the live metric instance the session would hand the
-        solver -- the cached plan evaluates its kernel costs through it, so
-        the session's kernel-cost LRU stays warm exactly as on a solve.
+        *metric* is the metric instance the session would hand the
+        solver -- the cached plan prices its kernel calls with it, exactly
+        as a solve does.
         """
         self._sync()
         if not self._usable(options):

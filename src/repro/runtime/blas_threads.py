@@ -14,22 +14,26 @@ Bientinesi, ACM TOMS 2021) times its generated code.
 
 :func:`limit_blas_threads` finds every OpenBLAS mapped into the process and
 sets it to one thread through its exported ``*set_num_threads*`` symbol;
-:func:`blas_threads` reads the counts back.  Where no OpenBLAS is found
-(another BLAS vendor, a platform without ``/proc/self/maps``) both are
-silent no-ops.
+:func:`blas_threads` reads the counts back.  :func:`single_blas_thread` is
+the scoped form for code that times generated programs inside a longer-lived
+process (the Fig. 8/9 harness, CLI ``--execute``): one thread per library
+inside the ``with`` block, the entry counts restored after it.  Where no
+OpenBLAS is found (another BLAS vendor, a platform without
+``/proc/self/maps``) all three are silent no-ops.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-from typing import Dict, List, Tuple
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 # Imported for its side effect: SciPy loads its own OpenBLAS copy only once
 # scipy.linalg is imported, and both copies must be mapped to be found.
 import scipy.linalg  # noqa: F401
 
-__all__ = ["blas_threads", "limit_blas_threads"]
+__all__ = ["blas_threads", "limit_blas_threads", "single_blas_thread"]
 
 #: Symbol prefixes of the thread-count setters and getters: the renamed
 #: ``scipy_openblas`` builds of the NumPy/SciPy wheels, then plain OpenBLAS.
@@ -85,16 +89,41 @@ def blas_threads() -> Dict[str, int]:
     return counts
 
 
-def limit_blas_threads() -> Dict[str, int]:
-    """Set every loaded OpenBLAS to one thread; return :func:`blas_threads`.
+def _set_threads(count_for: Callable[[str], Optional[int]]) -> None:
+    """Set every loaded OpenBLAS to ``count_for(file name)`` threads
+    (``None`` skips the library).
 
-    A library already at one thread is left alone: in a process forked
+    A library already at its count is left alone: in a process forked
     after its parent was limited, setting the count would rebuild
     OpenBLAS's thread pool, whose new threads spin while the worker boots.
     """
-    for _, handle in _openblas_libraries():
+    for name, handle in _openblas_libraries():
+        count = count_for(name)
+        if count is None:
+            continue
         getter = _symbol(handle, "get", [], ctypes.c_int)
         setter = _symbol(handle, "set", [ctypes.c_int], None)
-        if setter is not None and (getter is None or getter() != 1):
-            setter(1)
+        if setter is not None and (getter is None or getter() != count):
+            setter(count)
+
+
+def limit_blas_threads() -> Dict[str, int]:
+    """Set every loaded OpenBLAS to one thread; return :func:`blas_threads`."""
+    _set_threads(lambda name: 1)
     return blas_threads()
+
+
+@contextmanager
+def single_blas_thread() -> Iterator[Dict[str, int]]:
+    """Run the ``with`` block at one thread per loaded OpenBLAS.
+
+    Yields the counts inside the block (:func:`limit_blas_threads`).  On
+    exit every library is set back to the count :func:`blas_threads` read
+    on entry; a library that exports no getter cannot be read, so it stays
+    at one thread.
+    """
+    entry = blas_threads()
+    try:
+        yield limit_blas_threads()
+    finally:
+        _set_threads(entry.get)

@@ -373,9 +373,9 @@ def affinity_key(request: CompileRequest) -> str:
     HTTP server's threads, concurrently with itself, so it must stay off
     the shared caches: the parse builds fresh expression nodes and reads
     their signatures, and touches neither the interner, the inference
-    memo, the match cache nor any kernel-cost memo (those are only reached
-    by solves, which run under ``InProcessExecutor``'s lock or in a
-    single-threaded pool worker).
+    memo nor the match cache (those are only reached by solves, which run
+    under ``InProcessExecutor``'s lock or in a single-threaded pool
+    worker).
     """
     try:
         program = parse_program(request.to_source())

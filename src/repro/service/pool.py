@@ -23,14 +23,13 @@ process -- no subprocesses, deterministic, used by tier-1 tests and as the
 :class:`WorkerPool` owns N persistent worker *processes*.  Each worker
 builds the default kernel catalog once and keeps every cache layer warm
 across requests: the expression interner, the property-inference memo, the
-signature-keyed match cache, the whole-plan cache and one kernel-cost LRU
-per metric.  Requests are routed by **affinity**: structurally similar
-chains share their name-abstracted signature
-(:func:`repro.service.api.affinity_key`) and land on the same worker, whose
-match cache is already warm for them.  A worker that dies (crash, OOM kill)
-is transparently restarted and its in-flight requests are resubmitted, up
-to ``max_retries`` per request; requests that keep killing workers come
-back as ``ok=False`` responses instead of hanging the caller.
+signature-keyed match cache and the whole-plan cache.  Requests are routed
+by **affinity**: structurally similar chains share their name-abstracted
+signature (:func:`repro.service.api.affinity_key`) and land on the same
+worker, whose match cache is already warm for them.  A worker that dies
+(crash, OOM kill) is transparently restarted and its in-flight requests are
+resubmitted, up to ``max_retries`` per request; requests that keep killing
+workers come back as ``ok=False`` responses instead of hanging the caller.
 
 **Warm boot**: when a ``snapshot_dir`` is configured, every worker loads
 the directory's cache snapshot (:mod:`repro.persist.snapshot`) at boot --
@@ -311,7 +310,7 @@ def _worker_main(worker_id: int, inbox, outbox, snapshot_file=None) -> None:
 
     Each worker holds one :class:`~repro.frontend.compiler.Compiler`
     session, built after the fork: the session owns the catalog, the
-    per-metric cost LRUs, the plan cache, the module loader and every
+    plan cache, the module loader and every
     counter its ``stats`` report, so nothing of the parent's session state
     is inherited.  With a *snapshot_file*, the worker boots warm by
     loading the plan-cache/match-cache snapshot into the fresh session

@@ -12,8 +12,8 @@ object of ``GET /stats`` (:meth:`Compiler.cache_stats`):
   (:class:`repro.algebra.interning.ExpressionInterner`);
 * ``inference`` -- the property-inference memo
   (:class:`repro.algebra.inference.PropertyInference`);
-* ``kernel_cost`` -- the per-kernel cost memos of the session's live
-  metric instances, summed, with a ``per_metric`` breakdown;
+* ``kernel_cost`` -- retired: metrics hold no kernel-cost memo, so the
+  entry reports zero counters;
 * ``solver`` -- DP cells evaluated, split candidates pruned,
   anti-diagonals entered and decision-memo hits/misses of every solve
   the session ran;

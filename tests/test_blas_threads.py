@@ -91,3 +91,80 @@ def test_limit_sets_only_libraries_above_one_thread(monkeypatch):
     assert blas.limit_blas_threads() == {"busy.so": 1, "limited.so": 1}
     assert busy.set_calls == [1]
     assert limited.set_calls == []
+
+
+def test_scoped_limit_restores_the_entry_counts(monkeypatch):
+    busy, limited = _FakeOpenBLAS(threads=2), _FakeOpenBLAS(threads=1)
+    monkeypatch.setattr(
+        blas, "_openblas_libraries", lambda: [("busy.so", busy), ("limited.so", limited)]
+    )
+    with blas.single_blas_thread() as inside:
+        assert inside == {"busy.so": 1, "limited.so": 1}
+    assert blas.blas_threads() == {"busy.so": 2, "limited.so": 1}
+    # A library already at its count is never set, on entry or on exit.
+    assert busy.set_calls == [1, 2]
+    assert limited.set_calls == []
+
+
+def test_scoped_limit_restores_after_an_error(monkeypatch):
+    busy = _FakeOpenBLAS(threads=3)
+    monkeypatch.setattr(blas, "_openblas_libraries", lambda: [("busy.so", busy)])
+    try:
+        with blas.single_blas_thread():
+            raise RuntimeError("boom")
+    except RuntimeError:
+        pass
+    assert busy.threads == 3
+
+
+def test_scoped_limit_on_the_loaded_libraries():
+    entry = blas.blas_threads()
+    with blas.single_blas_thread() as inside:
+        assert set(inside) == set(entry)
+        assert all(count == 1 for count in inside.values()), inside
+        assert blas.blas_threads() == inside
+    assert blas.blas_threads() == entry
+
+
+def test_cli_execute_runs_at_one_thread_and_restores(tmp_path, monkeypatch):
+    from repro.exec import api as exec_api
+    from repro.frontend.compiler import main as cli_main
+
+    seen = []
+    run = exec_api.run_execute_request
+
+    def recording(*args, **kwargs):
+        seen.append(blas.blas_threads())
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(exec_api, "run_execute_request", recording)
+    path = tmp_path / "problem.chain"
+    path.write_text(SOLVE_DAG_SOURCE)
+    entry = blas.blas_threads()
+    assert cli_main([str(path), "--execute", "--seed", "3"]) == 0
+    assert len(seen) == 1 and all(count == 1 for count in seen[0].values()), seen
+    assert blas.blas_threads() == entry
+
+
+def test_harness_timing_loop_runs_at_one_thread_and_restores(monkeypatch):
+    from repro.experiments import harness
+    from repro.experiments.workload import ChainGenerator
+
+    seen = []
+
+    class Recording(harness.Executor):
+        def execute(self, program, environment):
+            seen.append(blas.blas_threads())
+            return super().execute(program, environment)
+
+    monkeypatch.setattr(harness, "Executor", Recording)
+    problem = ChainGenerator(min_length=3, max_length=3, size_choices=(20,), seed=5).generate()
+    entry = blas.blas_threads()
+    harness.run_problem(
+        problem, strategies=(), config=harness.HarnessConfig(execute=True, repetitions=2)
+    )
+    # One untimed run, then two timed repetitions at one thread.
+    assert len(seen) == 3
+    assert all(count == 1 for count in seen[1].values()), seen
+    assert all(count == 1 for count in seen[2].values()), seen
+    assert blas.blas_threads() == entry

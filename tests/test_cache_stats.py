@@ -1,7 +1,7 @@
 """Tests for the uniform cache-stats protocol and bounded eviction policies.
 
 Every cache layer of the pipeline -- expression interner, property-inference
-memo, signature-keyed match cache and kernel-cost LRU -- exposes ``stats()``
+memo and signature-keyed match cache -- exposes ``stats()``
 (plain dict with ``size``/``max_entries``/``hits``/``misses``/``hit_rate``/
 ``evictions``) and ``reset_stats()``, which is what the service telemetry
 aggregates across workers.  A :class:`Compiler` session reports its
@@ -20,7 +20,6 @@ from repro.algebra import Matrix, Property
 from repro.algebra.inference import PropertyInference, inference_engine
 from repro.algebra.interning import ExpressionInterner, default_interner
 from repro.algebra.operators import Times
-from repro.cost.metrics import FlopCount
 from repro.core import GMCAlgorithm
 from repro.exec.api import ExecuteRequest, run_execute_request
 from repro.frontend import Compiler
@@ -45,7 +44,7 @@ LAYERS = (
 )
 
 #: Layers a session owns (the rest are process-wide value caches).
-SESSION_LAYERS = ("plan_cache", "kernel_cost", "solver", "segments", "execution", "analytics")
+SESSION_LAYERS = ("plan_cache", "solver", "segments", "execution", "analytics")
 
 SOURCE = """Matrix A (30, 30) <spd>
 Matrix B (30, 20) <>
@@ -61,16 +60,10 @@ def chain(prefix: str, count: int = 4):
 
 
 class TestUniformProtocol:
-    def test_all_four_layers_speak_the_protocol(self):
+    def test_value_caches_speak_the_protocol(self):
         catalog = KernelCatalog(build_default_kernels(), name="stats-test")
-        metric = FlopCount()
-        GMCAlgorithm(CompileOptions(catalog=catalog, metric=metric)).solve(chain("U"))
-        layers = [
-            catalog.match_cache,
-            default_interner(),
-            inference_engine(),
-            metric,
-        ]
+        GMCAlgorithm(CompileOptions(catalog=catalog)).solve(chain("U"))
+        layers = [catalog.match_cache, default_interner(), inference_engine()]
         for layer in layers:
             stats = layer.stats()
             assert REQUIRED_KEYS <= set(stats), stats.get("layer")
@@ -242,16 +235,3 @@ class TestInferenceMemoEviction:
         for index in range(100):
             engine.infer(chain(f"N{index}_", 3))
         assert engine.infer(spd) == reference
-
-class TestKernelCostStats:
-    def test_cost_cache_counts_hits_and_evictions(self):
-        metric = FlopCount()
-        metric.cost_cache_size = 4
-        algorithm = GMCAlgorithm(CompileOptions(metric=metric))
-        algorithm.solve(chain("C", 5))
-        stats = metric.stats()
-        assert stats["misses"] > 0
-        assert stats["size"] <= 4
-        assert stats["evictions"] >= stats["misses"] - 4
-        metric.reset_stats()
-        assert metric.stats()["hits"] == 0

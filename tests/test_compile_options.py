@@ -48,7 +48,7 @@ class TestCompileOptions:
         assert options.metric == "flops"
         assert options.prune and options.match_cache
         assert options.emit == ()
-        assert options.deadline_s is None and options.cost_cache_size is None
+        assert options.deadline_s is None and not options.trace
 
     def test_is_frozen(self):
         with pytest.raises(AttributeError):
@@ -106,9 +106,6 @@ class TestCompileOptions:
             {"emit": ("fortran",)},
             {"deadline_s": 0.0},
             {"deadline_s": -1.0},
-            {"cost_cache_size": 0},
-            {"cost_cache_size": "big"},
-            {"cost_cache_size": 10**9},  # above MAX_COST_CACHE_SIZE
         ],
     )
     def test_validation_rejects_bad_fields(self, bad):
@@ -132,7 +129,7 @@ class TestCompileOptions:
             prune=False,
             match_cache=False,
             deadline_s=2.5,
-            cost_cache_size=1234,
+            trace=True,
         )
         clone = CompileOptions.from_wire(options.to_wire())
         assert clone == options
@@ -143,6 +140,12 @@ class TestCompileOptions:
     def test_wire_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             CompileOptions.from_wire({"solvr": "gmc"})
+
+    def test_removed_cost_cache_size_is_an_unknown_field(self):
+        with pytest.raises(ValueError, match="unknown option fields"):
+            CompileOptions.from_wire({"cost_cache_size": 64})
+        with pytest.raises(TypeError):
+            CompileOptions(cost_cache_size=64)
 
     @pytest.mark.parametrize("key", ["prune", "match_cache"])
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
@@ -157,16 +160,6 @@ class TestCompileOptions:
         wire = CompileOptions(catalog=catalog).to_wire()
         assert "catalog" not in wire
         assert CompileOptions.from_wire(wire).catalog is None
-
-    def test_cost_cache_size_is_applied_to_the_metric(self):
-        options = CompileOptions(metric="flops", cost_cache_size=7)
-        assert options.resolve_metric().cost_cache_size == 7
-
-    def test_cost_cache_size_never_mutates_a_live_metric_instance(self):
-        metric = FlopCount()
-        original = metric.cost_cache_size
-        resolved = CompileOptions(metric=metric, cost_cache_size=7).resolve_metric()
-        assert resolved is metric and metric.cost_cache_size == original
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +229,9 @@ class TestCompilerSession:
         compiler = Compiler()
         first = compiler.metric_for()
         second = compiler.metric_for()
-        assert first is second  # the warm kernel-cost LRU lives here
-
-    def test_per_call_cost_cache_size_does_not_resize_the_shared_metric(self):
-        """A request with custom cache sizing warms its own metric instance
-        instead of permanently shrinking the session's shared LRU."""
-        compiler = Compiler()
-        shared = compiler.metric_for()
-        sized = compiler.metric_for(CompileOptions(cost_cache_size=2))
-        assert sized is not shared
-        assert sized.cost_cache_size == 2
-        assert shared.cost_cache_size == type(shared).cost_cache_size
-        # ... and the default path still gets the same warm instance.
-        assert compiler.metric_for() is shared
+        assert first is second
+        timed = CompileOptions(metric="time")
+        assert compiler.metric_for(timed) is compiler.metric_for(timed)
 
     def test_per_call_overrides_do_not_mutate_the_session(self):
         compiler = Compiler()
@@ -282,28 +265,6 @@ class TestCompilerSession:
         assert compiler.compile(SOURCE, catalog=compiler.catalog).assignment(
             "X"
         ).kernel_sequence == ["TRMM", "POSV"]
-
-    def test_metric_instance_cache_is_bounded(self):
-        """A client cycling cost_cache_size values must not grow a worker's
-        metric cache forever; plain-name defaults survive the eviction."""
-        from repro.frontend.compiler import _MAX_METRIC_INSTANCES
-
-        compiler = Compiler()
-        default = compiler.metric_for()
-        for size in range(2, 2 + 3 * _MAX_METRIC_INSTANCES):
-            compiler.metric_for(CompileOptions(cost_cache_size=size))
-        assert len(compiler._metrics) <= _MAX_METRIC_INSTANCES
-        assert compiler.metric_for() is default
-
-    def test_per_metric_breakdown_keeps_differently_sized_instances_apart(self):
-        """Two live instances of one metric name (different cost_cache_size)
-        must not overwrite each other in the kernel_cost per-metric view."""
-        compiler = Compiler()
-        compiler.compile(SOURCE)  # warm the default 'flops' instance
-        compiler.compile(SOURCE, options=CompileOptions(cost_cache_size=64))
-        per_metric = compiler.cache_stats()["kernel_cost"]["per_metric"]
-        assert "flops" in per_metric
-        assert "('flops', 64)" in per_metric
 
     def test_match_cache_off_bypasses_the_cache(self):
         catalog = KernelCatalog(build_default_kernels(), name="bypass-test")

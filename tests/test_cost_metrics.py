@@ -204,59 +204,3 @@ class TestResolveMetric:
     def test_unknown_type_raises(self):
         with pytest.raises(TypeError):
             resolve_metric(42)
-
-
-class TestKernelCostCacheLRU:
-    """The kernel-cost memo is a bounded LRU: overflow evicts only the
-    coldest entry, so a long-running service's working set survives (the
-    previous wholesale ``clear()`` at capacity did not)."""
-
-    def _counting_metric(self, bound):
-        evaluations = []
-
-        class Counting(FlopCount):
-            def kernel_cost(self, kernel, substitution):
-                evaluations.append(substitution)
-                return super().kernel_cost(kernel, substitution)
-
-        metric = Counting()
-        metric.cost_cache_size = bound
-        return metric, evaluations
-
-    def _substitution(self, index):
-        return Substitution(
-            {"X": Matrix(f"A{index}", 10 + index, 8), "Y": Matrix(f"B{index}", 8, 6)}
-        )
-
-    def test_working_set_survives_overflow(self):
-        metric, evaluations = self._counting_metric(bound=16)
-        kernel, hot = _gemm_case()
-        metric.kernel_cost_cached(kernel, hot)
-        for index in range(100):
-            metric.kernel_cost_cached(kernel, self._substitution(index))
-            metric.kernel_cost_cached(kernel, hot)  # keep the hot entry recent
-        evaluations_so_far = len(evaluations)
-        metric.kernel_cost_cached(kernel, hot)
-        assert len(evaluations) == evaluations_so_far  # still cached
-        assert len(metric._cost_cache) <= 16
-
-    def test_cold_entries_are_evicted_individually(self):
-        metric, evaluations = self._counting_metric(bound=4)
-        kernel, _ = _gemm_case()
-        for index in range(10):
-            metric.kernel_cost_cached(kernel, self._substitution(index))
-        assert len(metric._cost_cache) <= 4
-        # The oldest entry is gone and must be re-evaluated...
-        before = len(evaluations)
-        metric.kernel_cost_cached(kernel, self._substitution(0))
-        assert len(evaluations) == before + 1
-        # ...while the newest one is still warm.
-        before = len(evaluations)
-        metric.kernel_cost_cached(kernel, self._substitution(9))
-        assert len(evaluations) == before
-
-    def test_uncacheable_metric_never_builds_a_cache(self):
-        metric = CustomMetric(lambda kernel, substitution: 1.0)
-        kernel, substitution = _gemm_case()
-        metric.kernel_cost_cached(kernel, substitution)
-        assert not hasattr(metric, "_cost_cache")

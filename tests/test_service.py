@@ -413,6 +413,7 @@ class TestHTTP:
             ({"options": {"solver": "topdown"}}, "unknown option fields"),
             ({"options": {"parallelism": "threads:2"}}, "unknown option fields"),
             ({"options": {"profile": True}}, "unknown option fields"),
+            ({"options": {"cost_cache_size": 64}}, "unknown option fields"),
             ({"metric": "flops"}, "unknown request fields"),
             ({"emit": ["julia"]}, "unknown request fields"),
             ({"prune": False}, "unknown request fields"),
@@ -420,8 +421,9 @@ class TestHTTP:
         ],
     )
     def test_removed_option_fields_are_400(self, http_service, path, fields, message):
-        """Removed options (``solver``, ``parallelism``, ``profile``) and
-        top-level flat option fields are client errors, never a 500."""
+        """Removed options (``solver``, ``parallelism``, ``profile``,
+        ``cost_cache_size``) and top-level flat option fields are client
+        errors, never a 500."""
         source = similar_sources(1, prefix="Removed")[0]
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(f"{http_service}{path}", {"source": source, **fields})
