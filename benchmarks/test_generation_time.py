@@ -16,8 +16,10 @@ import pytest
 
 from repro.algebra import Matrix, Times
 from repro.core import GMCAlgorithm
+from repro.cost import FlopCount
 from repro.experiments.figures import generation_time
 from repro.experiments.workload import paper_generator
+from repro.options import CompileOptions
 
 
 def test_single_chain_generation_time(benchmark):
@@ -46,6 +48,33 @@ def test_generation_time_statistics(benchmark):
     # Milliseconds, not seconds: comfortably below the paper's 70 ms bound.
     assert data["max"] < 0.5
     assert data["mean"] < 0.1
+
+
+def test_generation_work_is_independent_of_matrix_sizes():
+    """Clock-free form of the size-independence claim: the DP prices the
+    same number of kernel calls, and picks the same parenthesization, for
+    one chain at 1x and at 50x operand sizes."""
+
+    def solve(scale):
+        priced = []
+
+        class Counting(FlopCount):
+            def kernel_cost(self, kernel, substitution):
+                priced.append(kernel.id)
+                return super().kernel_cost(kernel, substitution)
+
+        sizes = (37, 20, 45, 12, 30, 25, 40, 15, 33)
+        matrices = [
+            Matrix(f"M{i}", sizes[i] * scale, sizes[i + 1] * scale) for i in range(8)
+        ]
+        solution = GMCAlgorithm(CompileOptions(metric=Counting())).solve(Times(*matrices))
+        assert solution.computable
+        return len(priced), solution.parenthesization()
+
+    (small_work, small_plan), (large_work, large_plan) = solve(1), solve(50)
+    assert small_work > 0
+    assert large_work == small_work
+    assert large_plan == small_plan
 
 
 @pytest.mark.measured

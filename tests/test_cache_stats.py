@@ -74,6 +74,20 @@ class TestUniformProtocol:
             after = layer.stats()
             assert after["hits"] == after["misses"] == after["evictions"] == 0
 
+    def test_retired_kernel_cost_entry_stays_zero(self):
+        """No metric feeds the ``kernel_cost`` layer any more: its entry
+        keeps the protocol's keys with zero counters and no per-metric
+        breakdown, whatever the session compiles."""
+        session = Compiler()
+        session.compile(SOURCE)
+        session.compile(SOURCE, options=CompileOptions(metric="time"))
+        entry = session.cache_stats()["kernel_cost"]
+        assert set(entry) == REQUIRED_KEYS - {"max_entries"}
+        assert entry["size"] == entry["hits"] == entry["misses"] == entry["evictions"] == 0
+        assert entry["hit_rate"] == 0.0
+        session.reset_cache_stats()
+        assert session.cache_stats()["kernel_cost"] == entry
+
     def test_session_reports_every_layer_in_order(self):
         session = Compiler()
         assert tuple(session.cache_stats()) == LAYERS

@@ -233,6 +233,22 @@ class TestCompilerSession:
         timed = CompileOptions(metric="time")
         assert compiler.metric_for(timed) is compiler.metric_for(timed)
 
+    def test_metric_instances_are_one_per_metric_name(self):
+        """Option variants that share a metric name share its instance, so
+        the session holds at most one metric per name; a caller's live
+        metric instance is returned as it is and never stored."""
+        compiler = Compiler()
+        for name in ("flops", "time", "memory"):
+            for deadline in (None, 1.0, 2.5):
+                for prune in (True, False):
+                    compiler.metric_for(
+                        CompileOptions(metric=name, deadline_s=deadline, prune=prune)
+                    )
+        assert sorted(compiler._metrics) == ["flops", "memory", "time"]
+        own = FlopCount()
+        assert compiler.metric_for(CompileOptions(metric=own)) is own
+        assert len(compiler._metrics) == 3
+
     def test_per_call_overrides_do_not_mutate_the_session(self):
         compiler = Compiler()
         timed = compiler.solve(

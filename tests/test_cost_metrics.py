@@ -1,5 +1,6 @@
 """Tests for the cost-metric framework (Section 3.3 of the paper)."""
 
+import copy
 import math
 
 import pytest
@@ -204,3 +205,30 @@ class TestResolveMetric:
     def test_unknown_type_raises(self):
         with pytest.raises(TypeError):
             resolve_metric(42)
+
+
+class TestStatelessMetrics:
+    """A metric is a pure pricing function: pricing a whole DP changes
+    nothing it holds, and it has no memo to size, count or reset."""
+
+    @pytest.mark.parametrize("name", ["flops", "time", "memory", "accuracy", "kernels"])
+    def test_solve_leaves_the_metric_unchanged(self, name):
+        from repro.core import GMCAlgorithm
+
+        metric = resolve_metric(name)
+        before = {key: copy.copy(value) for key, value in vars(metric).items()}
+        chain = Times(
+            Matrix("A", 30, 30, {Property.SPD}),
+            Matrix("B", 30, 20),
+            Matrix("C", 20, 40),
+            Matrix("D", 40, 10),
+        )
+        solution = GMCAlgorithm(CompileOptions(metric=metric)).solve(chain)
+        assert solution.computable
+        assert solution.kernel_calls()
+        assert vars(metric) == before
+
+    def test_no_memo_api_is_left(self):
+        for metric in (FlopCount(), CustomMetric(lambda kernel, substitution: 1.0)):
+            for attribute in ("kernel_cost_cached", "cost_cache_size", "stats", "reset_stats"):
+                assert not hasattr(metric, attribute), attribute
