@@ -60,10 +60,10 @@ request through :mod:`repro.obs.logging`, silent unless the process
 opted in via ``configure_logging``).
 
 The server is a :class:`http.server.ThreadingHTTPServer`; concurrency comes
-from the worker pool behind it (HTTP threads block on queue round-trips,
-not on solves).  Start it from the command line via ``python -m
-repro.frontend --serve`` or programmatically via :func:`start_server` (tests
-use port 0 to get an ephemeral port).
+from the worker pool behind it (each HTTP thread makes its own pipe round
+trip to a worker and blocks on that, not on solves).  Start it from the
+command line via ``python -m repro.frontend --serve`` or programmatically
+via :func:`start_server` (tests use port 0 to get an ephemeral port).
 """
 
 from __future__ import annotations

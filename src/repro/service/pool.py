@@ -26,10 +26,17 @@ across requests: the expression interner, the property-inference memo, the
 signature-keyed match cache and the whole-plan cache.  Requests are routed
 by **affinity**: structurally similar chains share their name-abstracted
 signature (:func:`repro.service.api.affinity_key`) and land on the same
-worker, whose match cache is already warm for them.  A worker that dies
-(crash, OOM kill) is transparently restarted and its in-flight requests are
-resubmitted, up to ``max_retries`` per request; requests that keep killing
-workers come back as ``ok=False`` responses instead of hanging the caller.
+worker, whose match cache is already warm for them.
+
+**Transport**: each worker has one pipe and one lock, and the pool starts
+no thread.  The calling thread makes the whole round trip itself: under
+the worker's lock it sends ``(kind, seq, payload)`` and waits on the pipe
+and on the worker's process sentinel until the reply carrying its ``seq``
+arrives.  A reply with another ``seq`` is the late answer to an earlier,
+timed-out call and is dropped.  A worker that dies (crash, OOM kill) is
+restarted on the spot by the caller that sees it die, which resends its
+message, up to ``max_retries`` times; messages that keep killing workers
+come back as ``ok=False`` responses instead of hanging the caller.
 
 **Warm boot**: when a ``snapshot_dir`` is configured, every worker loads
 the directory's cache snapshot (:mod:`repro.persist.snapshot`) at boot --
@@ -42,10 +49,11 @@ of ``POST /snapshot``).  A stale or corrupt snapshot is reported in
 **Backpressure**: each worker's in-flight request count is bounded
 (``max_inflight_per_worker``); dispatching beyond the bound raises
 :class:`PoolSaturatedError`, which the HTTP front-end maps to ``429`` with
-a ``Retry-After`` hint, instead of growing the inbox queues without limit.
+a ``Retry-After`` hint, instead of letting callers queue on a worker
+without limit.
 
 Wire format: plain dicts (``CompileRequest.to_dict`` /
-``CompileResponse.to_dict``) travel over the queues, so workers never
+``CompileResponse.to_dict``) travel over the pipes, so workers never
 unpickle custom classes and the pool works under ``fork`` and ``spawn``
 alike.
 """
@@ -57,6 +65,7 @@ import multiprocessing
 import os
 import threading
 import time
+from multiprocessing import connection
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -84,12 +93,11 @@ __all__ = [
     "create_executor",
 ]
 
-#: Seconds between liveness checks while a caller waits for a response.
-_POLL_INTERVAL = 0.05
-
 #: Default bound on in-flight requests per worker (and for the in-process
 #: executor as a whole) before :class:`PoolSaturatedError` pushes back.
 DEFAULT_MAX_INFLIGHT = 64
+
+_TIMED_OUT = "request timed out waiting for a worker"
 
 
 class PoolSaturatedError(RuntimeError):
@@ -165,15 +173,6 @@ class InProcessExecutor:
     def workers(self) -> int:
         return 0
 
-    def _execute(self, request: CompileRequest) -> CompileResponse:
-        """Run one request on the shared session (serialized, counted)."""
-        with self._lock:
-            response = execute_request(request, compiler=self.compiler)
-            self.requests_served += 1
-            if not response.ok:
-                self.errors += 1
-            return response
-
     def _reserve(self, count: int) -> None:
         """Claim *count* in-flight slots or raise (all-or-nothing)."""
         with self._gate:
@@ -194,13 +193,32 @@ class InProcessExecutor:
                 )
             self._pending += count
 
-    def submit(self, request: CompileRequest, timeout: Optional[float] = None) -> CompileResponse:
-        self._reserve(1)
+    def _run(self, runner, requests: Sequence) -> list:
+        """Reserve a slot per request, then run each through *runner* on
+        the shared session (serialized, counted).
+
+        All-or-nothing reservation (mirrors :class:`WorkerPool`): a batch
+        that would overflow the in-flight bound is rejected before anything
+        executes, never half-executed-then-429'd.
+        """
+        count = len(requests)
+        self._reserve(count)
         try:
-            return self._execute(request)
+            responses = []
+            for request in requests:
+                with self._lock:
+                    response = runner(request, compiler=self.compiler)
+                    self.requests_served += 1
+                    if not response.ok:
+                        self.errors += 1
+                responses.append(response)
+            return responses
         finally:
             with self._gate:
-                self._pending -= 1
+                self._pending -= count
+
+    def submit(self, request: CompileRequest, timeout: Optional[float] = None) -> CompileResponse:
+        return self._run(execute_request, [request])[0]
 
     def execute(self, request, timeout: Optional[float] = None):
         """Compile-and-run one :class:`~repro.exec.api.ExecuteRequest` on
@@ -208,31 +226,12 @@ class InProcessExecutor:
         # Imported lazily: repro.exec.api itself imports this package.
         from ..exec.api import run_execute_request
 
-        self._reserve(1)
-        try:
-            with self._lock:
-                response = run_execute_request(request, compiler=self.compiler)
-                self.requests_served += 1
-                if not response.ok:
-                    self.errors += 1
-                return response
-        finally:
-            with self._gate:
-                self._pending -= 1
+        return self._run(run_execute_request, [request])[0]
 
     def compile_batch(
         self, requests: Sequence[CompileRequest], timeout: Optional[float] = None
     ) -> List[CompileResponse]:
-        # All-or-nothing reservation (mirrors WorkerPool): a batch that
-        # would overflow the in-flight bound is rejected before anything
-        # executes, never half-executed-then-429'd.
-        count = len(requests)
-        self._reserve(count)
-        try:
-            return [self._execute(request) for request in requests]
-        finally:
-            with self._gate:
-                self._pending -= count
+        return self._run(execute_request, requests)
 
     def stats(self) -> dict:
         with self._lock:
@@ -305,8 +304,49 @@ class InProcessExecutor:
 # Worker process main loop.
 # ---------------------------------------------------------------------------
 
-def _worker_main(worker_id: int, inbox, outbox, snapshot_file=None) -> None:
-    """Serve requests until shutdown; every cache stays warm in between.
+def _failure(kind: str, payload, error: str, worker: Optional[int] = None):
+    """The ``ok=False`` reply (wire dicts) to a message that got no answer:
+    one response per request of a ``compile``/``execute`` message, a plain
+    ``{"error": ...}`` dict for a control message."""
+    if kind == "compile":
+        response, extra = CompileResponse, {}
+    elif kind == "execute":
+        from ..exec.api import ExecuteResponse as response
+
+        extra = {"phase": "request"}
+    else:
+        return {"error": error, "worker": worker}
+    return [
+        response(
+            request_id=str((item or {}).get("request_id", "")),
+            ok=False,
+            error=error,
+            worker=worker,
+            **extra,
+        ).to_dict()
+        for item in payload
+    ]
+
+
+def _answer(kind: str, payload: dict, compiler: Compiler, worker_id: int) -> dict:
+    """Run one ``compile`` or ``execute`` request dict on the worker's
+    session.  Errors never escape: they become the ``ok=False`` response,
+    so a malformed request cannot end the worker loop."""
+    if kind == "execute":
+        # Imported here, not at module top: repro.exec.api imports
+        # repro.service.api, whose package init imports this module.
+        from ..exec.api import ExecuteRequest as decode, run_execute_request as run
+    else:
+        decode, run = CompileRequest, execute_request
+    try:
+        response = run(decode.from_dict(payload), compiler=compiler, worker=worker_id)
+        return response.to_dict()
+    except Exception as exc:  # noqa: BLE001 -- never kill the loop
+        return _failure(kind, [payload], f"{type(exc).__name__}: {exc}", worker_id)[0]
+
+
+def _worker_main(worker_id: int, conn, snapshot_file=None) -> None:
+    """Serve messages from *conn* until shutdown; caches stay warm between.
 
     Each worker holds one :class:`~repro.frontend.compiler.Compiler`
     session, built after the fork: the session owns the catalog, the
@@ -315,9 +355,11 @@ def _worker_main(worker_id: int, inbox, outbox, snapshot_file=None) -> None:
     is inherited.  With a *snapshot_file*, the worker boots warm by
     loading the plan-cache/match-cache snapshot into the fresh session
     (stale/corrupt snapshots boot cold, reported via ``stats``).  Messages
-    are ``(kind, token, payload)`` tuples; every message except
-    ``shutdown``/``crash`` is answered with ``(token, payload)`` on
-    *outbox*.
+    are ``(kind, seq, payload)`` tuples; every message except
+    ``shutdown``/``crash`` is answered with ``(seq, reply)``.  The payload
+    of a ``compile`` or ``execute`` message is a list of request dicts and
+    its reply the list of their responses.  An end of file on *conn* (the
+    pool's process is gone) shuts the worker down.
 
     The worker first caps every loaded OpenBLAS at one thread: the pool
     already runs one process per core, and NumPy's and SciPy's separate
@@ -339,7 +381,10 @@ def _worker_main(worker_id: int, inbox, outbox, snapshot_file=None) -> None:
     served = 0
     failed = 0
     while True:
-        kind, token, payload = inbox.get()
+        try:
+            kind, seq, payload = conn.recv()
+        except EOFError:
+            kind = "shutdown"
         if kind == "shutdown":
             # The worker leaves through os._exit, so neither atexit nor
             # weakref finalizers would remove the loader's temp directory.
@@ -347,75 +392,35 @@ def _worker_main(worker_id: int, inbox, outbox, snapshot_file=None) -> None:
             break
         if kind == "crash":  # test hook: simulate a hard worker death
             os._exit(17)
-        if kind == "request":
-            try:
-                request = CompileRequest.from_dict(payload)
-                response = execute_request(
-                    request, compiler=compiler, worker=worker_id
-                )
-            except Exception as exc:  # noqa: BLE001 -- never kill the loop
-                response = CompileResponse(
-                    request_id=str((payload or {}).get("request_id", "")),
-                    ok=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                    worker=worker_id,
-                )
-            served += 1
-            if not response.ok:
-                failed += 1
-            outbox.put((token, response.to_dict()))
-        elif kind == "execute":
-            # Imported here, not at module top: repro.exec.api imports
-            # repro.service.api, whose package init imports this module.
-            from ..exec.api import ExecuteRequest, ExecuteResponse, run_execute_request
-
-            try:
-                exec_request = ExecuteRequest.from_dict(payload)
-                response = run_execute_request(
-                    exec_request, compiler=compiler, worker=worker_id
-                )
-            except Exception as exc:  # noqa: BLE001 -- never kill the loop
-                response = ExecuteResponse(
-                    request_id=str((payload or {}).get("request_id", "")),
-                    ok=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                    phase="request",
-                    worker=worker_id,
-                )
-            served += 1
-            if not response.ok:
-                failed += 1
-            outbox.put((token, response.to_dict()))
+        if kind in ("compile", "execute"):
+            reply = [_answer(kind, item, compiler, worker_id) for item in payload]
+            served += len(reply)
+            failed += sum(1 for response in reply if not response["ok"])
         elif kind == "stats":
-            outbox.put(
-                (
-                    token,
-                    {
-                        "worker": worker_id,
-                        "pid": os.getpid(),
-                        "requests": served,
-                        "errors": failed,
-                        "caches": compiler.cache_stats(),
-                        "snapshot": snapshot_load,
-                        "blas_threads": blas_threads(),
-                    },
-                )
-            )
+            reply = {
+                "worker": worker_id,
+                "pid": os.getpid(),
+                "requests": served,
+                "errors": failed,
+                "caches": compiler.cache_stats(),
+                "snapshot": snapshot_load,
+                "blas_threads": blas_threads(),
+            }
         elif kind == "export_snapshot":
             try:
-                payload = capture_state(compiler.plan_cache, compiler.catalog)
+                reply = capture_state(compiler.plan_cache, compiler.catalog)
             except Exception as exc:  # noqa: BLE001 -- never kill the loop
-                payload = {"error": f"{type(exc).__name__}: {exc}"}
-            outbox.put((token, payload))
+                reply = {"error": f"{type(exc).__name__}: {exc}"}
         elif kind == "reset_stats":
             compiler.reset_cache_stats()
             served = 0
             failed = 0
-            outbox.put((token, True))
+            reply = True
         elif kind == "ping":
-            outbox.put((token, {"worker": worker_id, "pid": os.getpid()}))
+            reply = {"worker": worker_id, "pid": os.getpid()}
         else:  # unknown control message: answer rather than wedge the caller
-            outbox.put((token, {"error": f"unknown message kind {kind!r}"}))
+            reply = {"error": f"unknown message kind {kind!r}"}
+        conn.send((seq, reply))
 
 
 # ---------------------------------------------------------------------------
@@ -423,23 +428,23 @@ def _worker_main(worker_id: int, inbox, outbox, snapshot_file=None) -> None:
 # ---------------------------------------------------------------------------
 
 class WorkerPool:
-    """A pool of persistent warm-cache compiler worker processes."""
+    """A pool of persistent warm-cache compiler worker processes.
+
+    Worker processes start with ``fork`` where the platform has it, else
+    with the platform's default method (reported by ``stats()``).
+    """
 
     def __init__(
         self,
         workers: Optional[int] = None,
-        start_method: Optional[str] = None,
         request_timeout: float = 300.0,
         max_retries: int = 2,
         snapshot_dir=None,
         max_inflight_per_worker: int = DEFAULT_MAX_INFLIGHT,
     ) -> None:
         count = workers if workers and workers > 0 else min(4, os.cpu_count() or 1)
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._ctx = multiprocessing.get_context(start_method)
-        self.start_method = start_method
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context("fork" if fork else None)
         self.request_timeout = request_timeout
         self.max_retries = max_retries
         self.snapshot_dir = Path(snapshot_dir) if snapshot_dir else None
@@ -450,25 +455,18 @@ class WorkerPool:
         #: In-flight *request* count per worker (the backpressure signal;
         #: control messages -- stats/ping/snapshot -- are never counted).
         self._request_load = [0] * count
-
-        self._inboxes = [self._ctx.Queue() for _ in range(count)]
-        self._outbox = self._ctx.Queue()
-        self._procs: List[Optional[multiprocessing.Process]] = [None] * count
+        #: Guards the counters above and the closed flags.
         self._lock = threading.Lock()
-        self._tokens = itertools.count()
-        self._events: Dict[int, threading.Event] = {}
-        self._results: Dict[int, object] = {}
-        #: token -> [worker_index, kind, payload, retries] for in-flight work.
-        self._inflight: Dict[int, list] = {}
+        #: One lock per worker, held for a whole send-and-receive exchange.
+        self._locks = [threading.Lock() for _ in range(count)]
+        self._conns: list = [None] * count
+        self._procs: List[Optional[multiprocessing.Process]] = [None] * count
+        self._seq = itertools.count()
         self._closed = False
         self._closing = False
 
         for index in range(count):
             self._spawn(index)
-        self._collector = threading.Thread(
-            target=self._collect, name="repro-service-collector", daemon=True
-        )
-        self._collector.start()
 
     # ------------------------------------------------------------ lifecycle
     @property
@@ -476,27 +474,35 @@ class WorkerPool:
         return len(self._procs)
 
     def _spawn(self, index: int) -> None:
+        """Start worker *index* on a fresh pipe (its lock held or unshared)."""
         snapshot_file = (
             str(snapshot_path(self.snapshot_dir))
             if self.snapshot_dir is not None
             else None
         )
+        conn, child = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(index, self._inboxes[index], self._outbox, snapshot_file),
+            args=(index, child, snapshot_file),
             name=f"repro-service-worker-{index}",
             daemon=True,
         )
         proc.start()
+        # Only the worker keeps the child end, so its death reads as EOF.
+        child.close()
+        if self._conns[index] is not None:
+            self._conns[index].close()
+        self._conns[index] = conn
         self._procs[index] = proc
 
     def close(self) -> None:
-        """Shut every worker down and stop the collector.
+        """Shut every worker down.
 
         With a snapshot directory configured, the merged cache state of all
         workers is persisted first, so the next boot starts warm.  Repeated
         calls are no-ops -- the closing flag is claimed before the snapshot
-        save, so a second close never dispatches to already-dead workers.
+        save, so a second close never calls already-dead workers.  A worker
+        whose lock a stuck caller still holds after 5 s is terminated.
         """
         with self._lock:
             if self._closed or self._closing:
@@ -514,19 +520,26 @@ class WorkerPool:
                 _log_snapshot_save(meta)
         with self._lock:
             self._closed = True
-        for inbox in self._inboxes:
-            try:
-                inbox.put(("shutdown", None, None))
-            except Exception:  # noqa: BLE001 -- queue may already be broken
-                pass
-        for proc in self._procs:
-            if proc is not None:
+        held = [lock.acquire(timeout=5.0) for lock in self._locks]
+        try:
+            for owned, conn in zip(held, self._conns):
+                if owned:
+                    try:
+                        conn.send(("shutdown", None, None))
+                    except OSError:  # the worker is already gone
+                        pass
+            for proc in self._procs:
                 proc.join(timeout=5.0)
                 if proc.is_alive():
                     proc.terminate()
                     proc.join(timeout=1.0)
-        self._outbox.put(None)
-        self._collector.join(timeout=5.0)
+            for owned, conn in zip(held, self._conns):
+                if owned:
+                    conn.close()
+        finally:
+            for owned, lock in zip(held, self._locks):
+                if owned:
+                    lock.release()
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -535,40 +548,6 @@ class WorkerPool:
         self.close()
 
     # ------------------------------------------------------------ transport
-    def _collect(self) -> None:
-        """Single reader of the shared outbox; fills result slots."""
-        while True:
-            try:
-                item = self._outbox.get()
-            except Exception:  # noqa: BLE001 -- EOFError/OSError/unpickling
-                # A worker hard-killed mid-write can corrupt one queue
-                # message (EOFError / unpickling errors).  Losing that
-                # message is recoverable -- the waiter times out and the
-                # crash path resubmits -- but losing the *collector* would
-                # wedge the whole pool, so swallow and keep reading.
-                with self._lock:
-                    if self._closed:
-                        return
-                time.sleep(_POLL_INTERVAL)
-                continue
-            if item is None:
-                return
-            token, payload = item
-            with self._lock:
-                event = self._events.get(token)
-                if event is None:
-                    # Late or duplicate delivery (timed-out waiter, or a
-                    # request that ran twice around a crash): drop it.
-                    continue
-                self._release(self._inflight.pop(token, None))
-                self._results[token] = payload
-            event.set()
-
-    def _release(self, entry) -> None:
-        """Drop an in-flight entry's backpressure reservation (lock held)."""
-        if entry is not None and entry[1] in ("request", "execute"):
-            self._request_load[entry[0]] -= 1
-
     def _reserve(self, indices: Sequence[int]) -> None:
         """Reserve in-flight slots on every worker in *indices*, atomically.
 
@@ -605,122 +584,128 @@ class WorkerPool:
             for index, extra in demand.items():
                 self._request_load[index] += extra
 
-    def _dispatch(self, index: int, kind: str, payload) -> int:
-        token = next(self._tokens)
-        event = threading.Event()
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("worker pool is closed")
-            self._events[token] = event
-            self._inflight[token] = [index, kind, payload, 0]
-        self._inboxes[index].put((kind, token, payload))
-        return token
+    def _requests(
+        self, kind: str, indices: Sequence[int], payloads: list, timeout
+    ) -> list:
+        """Reserve slots for request *payloads* routed to *indices*, send
+        each worker its share as one message and return the replies in
+        submission order."""
+        self._reserve(indices)
+        shares: Dict[int, List[int]] = {}
+        for position, index in enumerate(indices):
+            shares.setdefault(index, []).append(position)
+        try:
+            replies = self._exchange(
+                {
+                    index: (kind, [payloads[position] for position in positions])
+                    for index, positions in shares.items()
+                },
+                timeout,
+            )
+        finally:
+            with self._lock:
+                for index in indices:
+                    self._request_load[index] -= 1
+        ordered: list = [None] * len(payloads)
+        for index, positions in shares.items():
+            for position, reply in zip(positions, replies[index]):
+                ordered[position] = reply
+        return ordered
 
-    def _check_workers(self) -> None:
-        """Restart dead workers and resubmit (or fail) their in-flight work."""
-        with self._lock:
-            if self._closed:
-                return
-            for index, proc in enumerate(self._procs):
-                if proc is None or proc.is_alive():
-                    continue
-                proc.join(timeout=0.1)
-                self._spawn(index)
-                self.restarts += 1
-                _LOG.warning(
-                    "worker crashed, restarted transparently",
-                    extra={
-                        "worker": index,
-                        "exitcode": proc.exitcode,
-                        "restarts": self.restarts,
-                        "inflight_resubmitted": sum(
-                            1
-                            for entry in self._inflight.values()
-                            if entry[0] == index
-                        ),
-                    },
-                )
-                for token, entry in list(self._inflight.items()):
-                    if entry[0] != index:
-                        continue
-                    entry[3] += 1
-                    if entry[3] > self.max_retries:
-                        del self._inflight[token]
-                        self._release(entry)
-                        self._results[token] = self._failure_payload(entry)
-                        event = self._events.get(token)
-                        if event is not None:
-                            event.set()
-                    else:
-                        self._inboxes[index].put((entry[1], token, entry[2]))
+    def _exchange(self, messages: Dict[int, tuple], timeout: Optional[float]) -> dict:
+        """Send ``messages[index] = (kind, payload)`` to each worker, then
+        read each reply; returns ``{index: reply}``.
 
-    @staticmethod
-    def _failure_payload(entry: list) -> object:
-        index, kind, payload, retries = entry
-        message = f"worker {index} crashed {retries} times processing this message"
-        if kind == "request":
-            return CompileResponse(
-                request_id=str((payload or {}).get("request_id", "")),
-                ok=False,
-                error=message,
-                worker=index,
-            ).to_dict()
-        if kind == "execute":
-            from ..exec.api import ExecuteResponse
-
-            return ExecuteResponse(
-                request_id=str((payload or {}).get("request_id", "")),
-                ok=False,
-                error=message,
-                phase="request",
-                worker=index,
-            ).to_dict()
-        return {"error": message, "worker": index}
-
-    def _wait(self, token: int, timeout: Optional[float]):
+        The workers' locks are taken in ascending index order, so
+        concurrent exchanges cannot deadlock, and every message is sent
+        before any reply is read, so the workers run in parallel.  The
+        deadline covers the wait for the locks too.
+        """
         deadline = time.monotonic() + (
             timeout if timeout is not None else self.request_timeout
         )
-        event = self._events[token]
-        while not event.wait(_POLL_INTERVAL):
-            self._check_workers()
-            if time.monotonic() > deadline:
-                # Deregister the event in the same critical section as the
-                # result/inflight cleanup: a late delivery racing with this
-                # cleanup must either land before it (and be popped here) or
-                # see no event and be dropped -- never leak a result slot.
-                with self._lock:
-                    self._events.pop(token, None)
-                    entry = self._inflight.pop(token, None)
-                    self._release(entry)
-                    self._results.pop(token, None)
-                return self._timeout_payload(token, entry)
+        order = sorted(messages)
+        held: List[threading.Lock] = []
+        try:
+            for index in order:
+                lock = self._locks[index]
+                if not lock.acquire(timeout=max(0.0, deadline - time.monotonic())):
+                    return {i: _failure(*messages[i], _TIMED_OUT) for i in order}
+                held.append(lock)
+            if self._closed:
+                raise RuntimeError("worker pool is closed")
+            seqs = {index: self._send(index, *messages[index]) for index in order}
+            return {
+                index: self._receive(index, seqs[index], *messages[index], deadline)
+                for index in order
+            }
+        finally:
+            for lock in held:
+                lock.release()
+
+    def _call(self, index: int, kind: str, payload, timeout: Optional[float]):
+        """One message to worker *index* and its reply."""
+        return self._exchange({index: (kind, payload)}, timeout)[index]
+
+    def _send(self, index: int, kind: str, payload) -> int:
+        """Send one message (worker lock held); returns its ``seq``."""
+        seq = next(self._seq)
+        try:
+            self._conns[index].send((kind, seq, payload))
+        except OSError:  # a dead worker: _receive sees it die and resends
+            pass
+        return seq
+
+    def _receive(self, index: int, seq: int, kind: str, payload, deadline: float):
+        """Wait (worker lock held) for the reply to message *seq*.
+
+        A worker that dies before answering is restarted and the message
+        resent, up to ``max_retries`` times; on timeout the worker keeps
+        running and its late reply is dropped by the next call's ``seq``
+        check.
+        """
+        crashes = 0
+        while True:
+            conn, proc = self._conns[index], self._procs[index]
+            remaining = max(0.0, deadline - time.monotonic())
+            ready = connection.wait([conn, proc.sentinel], remaining)
+            if not ready:
+                return _failure(kind, payload, _TIMED_OUT)
+            if conn in ready:
+                try:
+                    got, reply = conn.recv()
+                except (EOFError, OSError):
+                    pass  # died mid-reply: a crash like any other
+                else:
+                    if got == seq:
+                        return reply
+                    continue  # the late answer to an earlier, timed-out call
+            crashes += 1
+            restarted = self._restart(index, proc)
+            if not restarted or crashes > self.max_retries:
+                return _failure(
+                    kind,
+                    payload,
+                    f"worker {index} crashed {crashes} times processing this message",
+                    index,
+                )
+            seq = self._send(index, kind, payload)
+
+    def _restart(self, index: int, dead) -> bool:
+        """Respawn worker *index* on its slot (lock held), unless closed."""
         with self._lock:
-            self._events.pop(token, None)
-            return self._results.pop(token)
-
-    @staticmethod
-    def _timeout_payload(token: int, entry) -> object:
-        kind = entry[1] if entry else "request"
-        message = "request timed out waiting for a worker"
-        if kind == "request":
-            payload = entry[2] if entry else None
-            return CompileResponse(
-                request_id=str((payload or {}).get("request_id", "")),
-                ok=False,
-                error=message,
-            ).to_dict()
-        if kind == "execute":
-            from ..exec.api import ExecuteResponse
-
-            payload = entry[2] if entry else None
-            return ExecuteResponse(
-                request_id=str((payload or {}).get("request_id", "")),
-                ok=False,
-                error=message,
-                phase="request",
-            ).to_dict()
-        return {"error": message}
+            if self._closed:
+                return False
+            self.restarts += 1
+            restarts = self.restarts
+        dead.kill()  # a no-op unless only its pipe broke
+        dead.join(timeout=1.0)
+        self._spawn(index)
+        _LOG.warning(
+            "worker crashed, restarted transparently",
+            extra={"worker": index, "exitcode": dead.exitcode, "restarts": restarts},
+        )
+        return True
 
     # -------------------------------------------------------------- routing
     def worker_for(self, request: CompileRequest) -> int:
@@ -736,10 +721,10 @@ class WorkerPool:
     def submit(
         self, request: CompileRequest, timeout: Optional[float] = None
     ) -> CompileResponse:
-        index = self.worker_for(request)
-        self._reserve([index])
-        token = self._dispatch(index, "request", request.to_dict())
-        return CompileResponse.from_dict(self._wait(token, timeout))
+        (reply,) = self._requests(
+            "compile", [self.worker_for(request)], [request.to_dict()], timeout
+        )
+        return CompileResponse.from_dict(reply)
 
     def execute(self, request, timeout: Optional[float] = None):
         """Compile-and-run one :class:`~repro.exec.api.ExecuteRequest`.
@@ -751,40 +736,34 @@ class WorkerPool:
         """
         from ..exec.api import ExecuteResponse
 
-        index = self.worker_for(request.compile)
-        self._reserve([index])
-        token = self._dispatch(index, "execute", request.to_dict())
-        return ExecuteResponse.from_dict(self._wait(token, timeout))
+        (reply,) = self._requests(
+            "execute", [self.worker_for(request.compile)], [request.to_dict()], timeout
+        )
+        return ExecuteResponse.from_dict(reply)
 
     def compile_batch(
         self, requests: Sequence[CompileRequest], timeout: Optional[float] = None
     ) -> List[CompileResponse]:
         """Compile many requests concurrently across the pool.
 
-        All requests are dispatched before any response is awaited, so the
-        batch spreads over every worker the affinity map names; responses
-        come back in submission order.  A batch that would overflow any
-        worker's in-flight bound raises :class:`PoolSaturatedError` before
-        dispatching anything.
+        Each worker the affinity map names gets one message holding its
+        share, and every message is sent before any reply is read, so the
+        shares compile in parallel; responses come back in submission
+        order.  A batch that would overflow any worker's in-flight bound
+        raises :class:`PoolSaturatedError` before sending anything.
         """
         indices = [self.worker_for(request) for request in requests]
-        self._reserve(indices)
+        payloads = [request.to_dict() for request in requests]
+        replies = self._requests("compile", indices, payloads, timeout)
         with self._lock:
             self.batches += 1
-        tokens = [
-            self._dispatch(index, "request", request.to_dict())
-            for index, request in zip(indices, requests)
-        ]
-        return [
-            CompileResponse.from_dict(self._wait(token, timeout)) for token in tokens
-        ]
+        return [CompileResponse.from_dict(reply) for reply in replies]
 
     def stats(self, timeout: float = 30.0) -> dict:
         """Pooled cache telemetry: per-worker snapshots plus fleet totals."""
-        tokens = [
-            self._dispatch(index, "stats", None) for index in range(self.workers)
+        per_worker = [
+            self._call(index, "stats", None, timeout) for index in range(self.workers)
         ]
-        per_worker = [self._wait(token, timeout) for token in tokens]
         usable = [
             entry
             for entry in per_worker
@@ -800,7 +779,7 @@ class WorkerPool:
         return {
             "mode": "pool",
             "workers": self.workers,
-            "start_method": self.start_method,
+            "start_method": self._ctx.get_start_method(),
             "pool": {
                 "requests": sum(entry.get("requests", 0) for entry in usable),
                 "errors": sum(entry.get("errors", 0) for entry in usable),
@@ -827,11 +806,10 @@ class WorkerPool:
         """
         if self.snapshot_dir is None:
             raise RuntimeError("no snapshot directory configured")
-        tokens = [
-            self._dispatch(index, "export_snapshot", None)
+        states = [
+            self._call(index, "export_snapshot", None, timeout)
             for index in range(self.workers)
         ]
-        states = [self._wait(token, timeout) for token in tokens]
         usable = [
             state
             for state in states
@@ -845,19 +823,14 @@ class WorkerPool:
         return meta
 
     def reset_stats(self, timeout: float = 30.0) -> None:
-        tokens = [
-            self._dispatch(index, "reset_stats", None)
-            for index in range(self.workers)
-        ]
-        for token in tokens:
-            self._wait(token, timeout)
+        for index in range(self.workers):
+            self._call(index, "reset_stats", None, timeout)
 
     def ping(self, timeout: float = 10.0) -> dict:
-        """Probe every worker (dead ones are restarted by the wait loop)."""
-        tokens = [
-            self._dispatch(index, "ping", None) for index in range(self.workers)
+        """Probe every worker (a dead one is restarted by its call)."""
+        replies = [
+            self._call(index, "ping", None, timeout) for index in range(self.workers)
         ]
-        replies = [self._wait(token, timeout) for token in tokens]
         alive = sum(
             1 for reply in replies if isinstance(reply, dict) and "pid" in reply
         )
@@ -872,10 +845,9 @@ class WorkerPool:
     # ------------------------------------------------------------ test hooks
     def crash_worker(self, index: int, wait: float = 10.0) -> None:
         """Make worker *index* die hard (``os._exit``); used by tests."""
-        proc = self._procs[index]
-        self._inboxes[index].put(("crash", None, None))
-        if proc is not None:
-            proc.join(timeout=wait)
+        with self._locks[index]:
+            self._conns[index].send(("crash", None, None))
+            self._procs[index].join(timeout=wait)
 
 
 def create_executor(

@@ -95,14 +95,14 @@ class TestUniformProtocol:
 
     def test_pool_with_no_answering_worker_keeps_the_layout(self, monkeypatch):
         with WorkerPool(workers=1, request_timeout=120.0) as pool:
-            answer = pool._wait
+            answer = pool._call
 
-            def lose_reply(token, timeout):
+            def lose_reply(index, kind, payload, timeout):
                 # The worker answers, but the reply is dropped as on a timeout.
-                answer(token, timeout)
+                answer(index, kind, payload, timeout)
                 return {"error": "lost"}
 
-            monkeypatch.setattr(pool, "_wait", lose_reply)
+            monkeypatch.setattr(pool, "_call", lose_reply)
             caches = pool.stats()["caches"]
         assert tuple(caches) == LAYERS + ("workers",)
         assert caches["workers"] == 0

@@ -6,9 +6,12 @@ import json
 import multiprocessing
 import os
 import signal
+import sys
+import threading
+import time
 import urllib.error
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import pytest
 
@@ -288,6 +291,141 @@ class TestWorkerPool:
     def test_ping_reports_all_workers(self, pool):
         health = pool.ping()
         assert health["alive"] == health["workers"] == 2
+
+
+def product_source(size: int) -> str:
+    """A two-matrix product; sizes 10/30 and 20/40 route to different workers
+    of a two-worker pool."""
+    return f"Matrix A ({size}, {size}) <>\nMatrix B ({size}, 5) <>\nX := A * B\n"
+
+
+def patch_workers(monkeypatch, action):
+    """Run ``action(request)`` before every request the workers compile.
+
+    Patched before the pool forks, so the workers (and every worker
+    restarted later) inherit it.
+    """
+    from repro.service import pool as pool_module
+
+    compile_request = pool_module.execute_request
+
+    def patched(request, *args, **kwargs):
+        action(request)
+        return compile_request(request, *args, **kwargs)
+
+    monkeypatch.setattr(pool_module, "execute_request", patched)
+
+
+class TestPoolTransport:
+    def test_pool_starts_no_thread_in_the_calling_process(self):
+        before = set(threading.enumerate())
+        with WorkerPool(workers=2, request_timeout=120.0) as pool:
+            requests = [
+                CompileRequest(source=product_source(size)) for size in (10, 20, 30, 40)
+            ]
+            assert {pool.worker_for(request) for request in requests} == {0, 1}
+            responses = pool.compile_batch(requests)
+            assert all(response.ok for response in responses)
+            assert {response.worker for response in responses} == {0, 1}
+            started = [thread.name for thread in set(threading.enumerate()) - before]
+        assert started == []
+
+    def test_concurrent_callers_each_get_their_own_reply(self):
+        """Eight threads share two workers: single calls and batches that
+        lock both workers.  An unlocked pipe would hand one caller another's
+        reply; a lock taken out of order would deadlock until the timeout
+        fails the responses."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            # The pool closes first, so a caller stuck on a worker is freed
+            # before the thread pool joins its threads.
+            with ThreadPoolExecutor(max_workers=8) as threads, WorkerPool(
+                workers=2, request_timeout=30.0
+            ) as pool:
+
+                def call(number):
+                    ids = [f"call{number}-{part}" for part in range(1 + number % 2)]
+                    requests = [
+                        CompileRequest(source=product_source(size), request_id=rid)
+                        for size, rid in zip((10 + 10 * (number % 4), 20), ids)
+                    ]
+                    if len(requests) == 1:
+                        return ids, [pool.submit(requests[0])]
+                    return ids, pool.compile_batch(requests)
+
+                futures = [threads.submit(call, number) for number in range(48)]
+                assert not wait(futures, timeout=60.0).not_done
+                for future in futures:
+                    ids, responses = future.result()
+                    assert [r.request_id for r in responses] == ids
+                    assert all(r.ok for r in responses)
+                assert pool._request_load == [0, 0]
+                assert pool.stats()["pool"]["requests"] == 72
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_crash_on_first_attempt_is_retried(self, monkeypatch, tmp_path):
+        flag = tmp_path / "crashed"
+
+        def crash_once(request):
+            if request.request_id == "crash-once" and not flag.exists():
+                flag.touch()
+                os._exit(3)
+
+        patch_workers(monkeypatch, crash_once)
+        with WorkerPool(workers=1, request_timeout=120.0) as pool:
+            response = pool.submit(
+                CompileRequest(source=product_source(10), request_id="crash-once")
+            )
+            assert response.ok and response.request_id == "crash-once"
+            assert flag.exists() and pool.restarts == 1
+            after = pool.submit(CompileRequest(source=product_source(20)))
+            assert after.ok and pool.restarts == 1
+            assert pool._request_load == [0]
+
+    def test_poison_request_fails_after_max_retries(self, monkeypatch):
+        def poison(request):
+            if request.request_id == "poison":
+                os._exit(3)
+
+        patch_workers(monkeypatch, poison)
+        with WorkerPool(workers=1, request_timeout=120.0, max_retries=2) as pool:
+            response = pool.submit(
+                CompileRequest(source=product_source(10), request_id="poison")
+            )
+            assert not response.ok and response.request_id == "poison"
+            assert response.error == "worker 0 crashed 3 times processing this message"
+            # The first attempt and both resends each killed a worker, and
+            # every dead worker was replaced.
+            assert pool.restarts == 3
+            after = pool.submit(CompileRequest(source=product_source(10)))
+            assert after.ok and after.worker == 0
+            assert pool.ping()["status"] == "ok"
+            assert pool._request_load == [0]
+
+    def test_timeout_leaves_a_stale_reply_that_is_discarded(self, monkeypatch):
+        def slow(request):
+            if request.request_id == "slow":
+                time.sleep(1.5)
+
+        patch_workers(monkeypatch, slow)
+        with WorkerPool(workers=1, request_timeout=120.0) as pool:
+            timed_out = pool.submit(
+                CompileRequest(source=product_source(10), request_id="slow"),
+                timeout=0.3,
+            )
+            assert not timed_out.ok and timed_out.request_id == "slow"
+            assert timed_out.error == "request timed out waiting for a worker"
+            assert pool._request_load == [0]
+            # The worker still answers "slow" first; that reply must be
+            # dropped, not returned to the next caller.
+            after = pool.submit(
+                CompileRequest(source=product_source(20), request_id="after")
+            )
+            assert after.ok and after.request_id == "after"
+            assert pool.restarts == 0
+            assert pool.stats()["pool"]["requests"] == 2
 
 
 # ---------------------------------------------------------------------------
